@@ -1,18 +1,17 @@
 //! Extension — the million-flow engine stress point.
 //!
-//! Exercises the hierarchical timing wheel and the struct-of-arrays
-//! flow slab at depth: single-segment flows packed hundreds-to-thousands
-//! per host fan into one 1 Gbps front-end, a regime dominated by queue
+//! Exercises the hierarchical timing wheel and the row-per-flow slab
+//! at depth: single-segment flows packed hundreds-to-thousands per
+//! host fan into one 1 Gbps front-end, a regime dominated by queue
 //! drops and RTO backoff (exactly the timer load the wheel exists for).
 //! Quick effort runs a packed 5 000-flow point that the golden suite
 //! reproduces byte-for-byte; `--full` adds the 10⁶-flow point behind
 //! the committed `results/perf/incast_1m.json` wall-clock baseline.
 //!
 //! Unlike `large_scale_100k` (one host per flow), every host here
-//! carries many senders, so the run goes through the slab's
-//! checkout/writeback path on every ACK and the per-host access links
-//! are shared — completion counts measure survival under overload, not
-//! fairness.
+//! carries many senders, so every ACK goes through a deep flow slab
+//! and the per-host access links are shared — completion counts
+//! measure survival under overload, not fairness.
 
 use netsim::time::Dur;
 use trim_harness::Campaign;

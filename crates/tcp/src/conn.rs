@@ -8,17 +8,17 @@
 //!
 //! ## State layout
 //!
-//! A sender's state is split for the million-flow engine:
+//! A sender's state is split for the million-flow engine, and both
+//! halves live in the same row of the host's flow slab:
 //!
-//! - [`HotFlow`](crate::slab::HotFlow) — the per-ACK working set (window,
-//!   RTO estimator, sequence cursors, recovery flags), a `Copy` record
-//!   gathered from / scattered to the [`FlowSlab`](crate::slab::FlowSlab)
-//!   struct-of-arrays columns;
+//! - `HotFlow` — the per-ACK working set (window, RTO estimator,
+//!   sequence cursors, recovery flags), stored inline in the row;
 //! - [`ColdConn`] — everything touched rarely or only at the ends of a
 //!   run (config, controller box, SACK scoreboard, train queue, stats),
 //!   boxed per flow.
 //!
-//! [`ConnCore`] borrows one of each and carries the whole state machine;
+//! [`ConnCore`] borrows both halves of a row in place and carries the
+//! whole state machine;
 //! [`ConnRef`] is the read-only public view returned by
 //! [`TcpHost::connection`](crate::TcpHost::connection).
 
@@ -108,7 +108,7 @@ struct ProbePending {
 }
 
 /// The rarely-touched half of a sending connection, boxed per flow in
-/// the [`FlowSlab`](crate::slab::FlowSlab).
+/// its slab row.
 #[derive(Debug)]
 pub(crate) struct ColdConn {
     pub(crate) flow: FlowId,
@@ -135,22 +135,9 @@ pub(crate) struct ColdConn {
     cwnd_series: Option<Series>,
 }
 
-impl ColdConn {
-    /// Cancels and forgets any timers this connection holds (called on
-    /// teardown so a recycled slab slot cannot receive stale fires).
-    pub(crate) fn cancel_timers(&mut self, ctx: &mut Ctx<'_, Segment>, hot: &mut HotFlow) {
-        if let Some(t) = hot.rto_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        if let Some(p) = self.probe.take() {
-            ctx.cancel_timer(p.timer);
-        }
-    }
-}
-
 /// Builds the split state for a new connection sending to `dst` with
 /// flow label `flow`. The cold half's `local_idx` is assigned when the
-/// pair is inserted into a [`FlowSlab`](crate::slab::FlowSlab).
+/// pair is inserted into the host's flow slab.
 ///
 /// # Panics
 ///
@@ -194,12 +181,12 @@ pub(crate) fn new_conn(
     (hot, cold)
 }
 
-/// Read-only view of one sending connection, assembled from the slab's
-/// hot columns and the boxed cold half. `Copy`, so reference-returning
-/// accessors consume `self` and borrow from the host instead.
+/// Read-only view of one sending connection, borrowing both halves of
+/// its slab row. `Copy`, so reference-returning accessors consume
+/// `self` and borrow from the host instead.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnRef<'a> {
-    pub(crate) hot: HotFlow,
+    pub(crate) hot: &'a HotFlow,
     pub(crate) cold: &'a ColdConn,
 }
 
@@ -257,9 +244,8 @@ impl<'a> ConnRef<'a> {
 }
 
 /// Mutable working view over one connection's split state: the whole
-/// sender state machine lives here. The host gathers `hot` from the
-/// slab, drives one or more events through this view, and scatters the
-/// result back.
+/// sender state machine lives here. Both halves are borrowed in place
+/// from the connection's slab row.
 pub(crate) struct ConnCore<'a> {
     pub(crate) hot: &'a mut HotFlow,
     pub(crate) cold: &'a mut ColdConn,
@@ -269,6 +255,17 @@ impl ConnCore<'_> {
     /// Packets currently unacknowledged.
     fn flight(&self) -> u64 {
         self.hot.next_seq - self.hot.high_ack
+    }
+
+    /// Cancels and forgets any timers this connection holds (called on
+    /// teardown so a recycled slab slot cannot receive stale fires).
+    pub(crate) fn cancel_timers(&mut self, ctx: &mut Ctx<'_, Segment>) {
+        if let Some(t) = self.hot.rto_timer.take() {
+            ctx.cancel_timer(t);
+        }
+        if let Some(p) = self.cold.probe.take() {
+            ctx.cancel_timer(p.timer);
+        }
     }
 
     /// Starts recording a `(time, cwnd)` point at every window change.

@@ -2,13 +2,10 @@
 //! connections and receivers living on one simulated host, and injects
 //! scheduled application trains.
 //!
-//! Sender state lives in a [`FlowSlab`]: the per-ACK working set in
-//! struct-of-arrays columns, the rest boxed per flow. Each event
-//! gathers a [`HotFlow`] record, drives the state machine through
-//! [`ConnCore`], and scatters the result back. A one-row cache keeps
-//! the hot record checked out across consecutive events for the same
-//! flow — during an incast tick the engine delivers ACK bursts
-//! back-to-back, so same-tick ACK runs skip the gather/scatter entirely.
+//! Sender state lives in a flow slab, one row per sender: the per-ACK
+//! working set inline, the rest boxed per flow. Each event borrows its
+//! flow's row in place as a `ConnCore` and drives the state machine
+//! on the stored record.
 
 use netsim::hash::FastHashMap;
 use netsim::prelude::*;
@@ -17,35 +14,33 @@ use netsim::time::SimTime;
 use crate::cc::CcKind;
 use crate::config::TcpConfig;
 use crate::conn::{
-    new_conn, ConnCore, ConnRef, KIND_APP, KIND_BITS, KIND_DELACK, KIND_PROBE, KIND_RTO, KIND_SEQ,
+    new_conn, ConnRef, KIND_APP, KIND_BITS, KIND_DELACK, KIND_PROBE, KIND_RTO, KIND_SEQ,
 };
 use crate::receiver::Receiver;
 use crate::segment::{SegKind, Segment};
-use crate::slab::{FlowSlab, HotFlow, SlabAudit};
+use crate::slab::{FlowSlab, SlabAudit};
 
+/// A scheduled application action on one sender.
 #[derive(Clone, Copy, Debug)]
-enum AppEvent {
-    /// Hand `bytes` to the sender at `at`.
-    Train {
-        at: SimTime,
-        sender_idx: usize,
-        bytes: u64,
-    },
-    /// Discard the sender's unsent data at `at`.
-    Stop { at: SimTime, sender_idx: usize },
-    /// Tear the sender down at `at`: cancel its timers and free its
-    /// slab slot for reuse.
-    Teardown { at: SimTime, sender_idx: usize },
+struct AppEvent {
+    at: SimTime,
+    sender_idx: usize,
+    /// The sender slot's generation when the event was scheduled: if the
+    /// sender has been torn down by the time the event fires, the event
+    /// is dropped, like a late ACK for an unknown flow.
+    generation: u32,
+    action: AppAction,
 }
 
-impl AppEvent {
-    fn at(&self) -> SimTime {
-        match *self {
-            AppEvent::Train { at, .. }
-            | AppEvent::Stop { at, .. }
-            | AppEvent::Teardown { at, .. } => at,
-        }
-    }
+#[derive(Clone, Copy, Debug)]
+enum AppAction {
+    /// Hand `bytes` to the sender.
+    Train { bytes: u64 },
+    /// Discard the sender's unsent data.
+    Stop,
+    /// Tear the sender down: cancel its timers and free its slab slot
+    /// for reuse.
+    Teardown,
 }
 
 /// A request/response exchange sequence on one connection: each response
@@ -54,6 +49,9 @@ impl AppEvent {
 #[derive(Clone, Debug)]
 struct ResponseSequence {
     sender_idx: usize,
+    /// The sender slot's generation at scheduling time (see
+    /// [`AppEvent::generation`]).
+    generation: u32,
     start: SimTime,
     sizes: Vec<u64>,
     think: netsim::time::Dur,
@@ -67,16 +65,6 @@ struct ResponseSequence {
     /// prove the session-conservation monitor fires; never set in
     /// healthy runs.
     fault_early_end: bool,
-}
-
-/// The one-row hot cache: the last-touched flow's [`HotFlow`] record,
-/// kept checked out between events. The slab columns for this id are
-/// stale until [`TcpHost::flush_hot`] scatters the record back; every
-/// read path consults the cache first, so the staleness is invisible.
-#[derive(Clone, Copy, Debug)]
-struct HotCache {
-    idx: usize,
-    hot: HotFlow,
 }
 
 /// A host running any number of sending connections and receivers.
@@ -115,7 +103,6 @@ struct HotCache {
 #[derive(Debug, Default)]
 pub struct TcpHost {
     flows: FlowSlab,
-    cache: Option<HotCache>,
     receivers: Vec<Receiver>,
     // Flow demux maps are on the per-packet hot path; FastHashMap keeps
     // the lookups cheap and deterministic. Neither map is ever iterated.
@@ -149,7 +136,6 @@ impl TcpHost {
     /// Panics if the flow already has a sender on this host or `cfg` is
     /// invalid.
     pub fn add_sender(&mut self, flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: &CcKind) -> usize {
-        self.flush_hot();
         let (hot, cold) = new_conn(flow, dst, cfg, cc.build());
         let idx = self.flows.insert(hot, cold);
         assert!(
@@ -181,12 +167,7 @@ impl TcpHost {
     ///
     /// Panics if `sender_idx` is not a live sender.
     pub fn schedule_train(&mut self, sender_idx: usize, at: SimTime, bytes: u64) {
-        assert!(self.flows.contains(sender_idx), "no such sender");
-        self.schedule.push(AppEvent::Train {
-            at,
-            sender_idx,
-            bytes,
-        });
+        self.schedule_app(sender_idx, at, AppAction::Train { bytes });
     }
 
     /// Schedules the application to stop sender `sender_idx` at `at`:
@@ -196,22 +177,31 @@ impl TcpHost {
     ///
     /// Panics if `sender_idx` is not a live sender.
     pub fn schedule_stop(&mut self, sender_idx: usize, at: SimTime) {
-        assert!(self.flows.contains(sender_idx), "no such sender");
-        self.schedule.push(AppEvent::Stop { at, sender_idx });
+        self.schedule_app(sender_idx, at, AppAction::Stop);
     }
 
     /// Schedules sender `sender_idx` to be torn down at `at`: its timers
     /// are cancelled, its flow demux entry removed, and its slab slot
     /// freed for reuse by later `add_sender` calls. In-flight packets
     /// for the flow arriving afterwards are dropped silently, like any
-    /// unknown flow.
+    /// unknown flow, and so are application events scheduled for the
+    /// sender after its teardown (including a second teardown).
     ///
     /// # Panics
     ///
     /// Panics if `sender_idx` is not a live sender.
     pub fn schedule_teardown(&mut self, sender_idx: usize, at: SimTime) {
+        self.schedule_app(sender_idx, at, AppAction::Teardown);
+    }
+
+    fn schedule_app(&mut self, sender_idx: usize, at: SimTime, action: AppAction) {
         assert!(self.flows.contains(sender_idx), "no such sender");
-        self.schedule.push(AppEvent::Teardown { at, sender_idx });
+        self.schedule.push(AppEvent {
+            at,
+            sender_idx,
+            generation: self.flows.generation(sender_idx),
+            action,
+        });
     }
 
     /// Schedules a sequential request/response exchange: the first
@@ -239,6 +229,7 @@ impl TcpHost {
         );
         self.sequences.push(ResponseSequence {
             sender_idx,
+            generation: self.flows.generation(sender_idx),
             start,
             sizes,
             think,
@@ -272,21 +263,13 @@ impl TcpHost {
         self.flows.inject_slot_leak();
     }
 
-    /// Borrows a sending connection by dense flow id. The view reflects
-    /// the hot cache, so it is current even mid-run.
+    /// Borrows a sending connection by dense flow id.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is not a live sender.
     pub fn connection(&self, idx: usize) -> ConnRef<'_> {
-        let hot = match &self.cache {
-            Some(c) if c.idx == idx => c.hot,
-            _ => self.flows.checkout(idx),
-        };
-        ConnRef {
-            hot,
-            cold: self.flows.cold(idx),
-        }
+        self.flows.get(idx)
     }
 
     /// Mutably adjusts a sending connection by dense flow id (e.g. to
@@ -301,7 +284,7 @@ impl TcpHost {
 
     /// Read-only views of all live sending connections, ascending by id.
     pub fn connections(&self) -> impl Iterator<Item = ConnRef<'_>> {
-        self.flows.live_ids().map(|id| self.connection(id))
+        self.flows.iter()
     }
 
     /// Number of live sending connections.
@@ -366,56 +349,15 @@ pub struct ConnMut<'a> {
 impl ConnMut<'_> {
     /// Starts recording a `(time, cwnd)` point at every window change.
     pub fn enable_cwnd_recording(&mut self) {
-        let idx = self.idx;
-        self.host
-            .with_core(idx, |core| core.enable_cwnd_recording());
+        self.host.flows.get_mut(self.idx).enable_cwnd_recording();
     }
 }
 
 impl TcpHost {
-    /// Scatters the cached hot record back into the slab columns.
-    fn flush_hot(&mut self) {
-        if let Some(c) = self.cache.take() {
-            self.flows.writeback(c.idx, &c.hot);
-        }
-    }
-
-    /// Gathers the hot record for `idx`, preferring the cache (and
-    /// flushing it first when it holds a different flow).
-    fn checkout_hot(&mut self, idx: usize) -> HotFlow {
-        match self.cache {
-            Some(c) if c.idx == idx => c.hot,
-            _ => {
-                self.flush_hot();
-                self.flows.checkout(idx)
-            }
-        }
-    }
-
-    /// Runs `f` over the assembled [`ConnCore`] view of sender `idx`,
-    /// leaving the updated hot record in the cache.
-    fn with_core<R>(&mut self, idx: usize, f: impl FnOnce(&mut ConnCore<'_>) -> R) -> R {
-        let mut hot = self.checkout_hot(idx);
-        let r = {
-            let mut core = ConnCore {
-                hot: &mut hot,
-                cold: self.flows.cold_mut(idx),
-            };
-            f(&mut core)
-        };
-        self.cache = Some(HotCache { idx, hot });
-        r
-    }
-
     /// Tears a sender down now: cancels its timers, unmaps its flow, and
     /// frees its slab slot.
     fn teardown_sender(&mut self, ctx: &mut Ctx<'_, Segment>, idx: usize) {
-        // The cached row must not resurrect the slot after removal;
-        // write it back (cheap) and drop the cache either way.
-        self.flush_hot();
-        let mut hot = self.flows.checkout(idx);
-        self.flows.cold_mut(idx).cancel_timers(ctx, &mut hot);
-        self.flows.writeback(idx, &hot);
+        self.flows.get_mut(idx).cancel_timers(ctx);
         let cold = self.flows.remove(idx);
         self.send_by_flow.remove(&cold.flow.0);
     }
@@ -432,7 +374,7 @@ impl TcpHost {
         let Some(&seq_idx) = self.seq_by_sender.get(&sender_idx) else {
             return;
         };
-        let flow = self.flows.cold(sender_idx).flow;
+        let flow = self.flows.get(sender_idx).flow();
         let seq = &mut self.sequences[seq_idx];
         // Only count completions for responses this sequence issued
         // (the sender may also carry plain scheduled trains).
@@ -459,7 +401,7 @@ impl TcpHost {
 impl Agent<Segment> for TcpHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Segment>) {
         for (i, s) in self.schedule.iter().enumerate() {
-            let delay = s.at().saturating_since(SimTime::ZERO);
+            let delay = s.at.saturating_since(SimTime::ZERO);
             ctx.set_timer(delay, ((i as u64) << KIND_BITS) | KIND_APP);
         }
         for (i, seq) in self.sequences.iter().enumerate() {
@@ -487,11 +429,10 @@ impl Agent<Segment> for TcpHost {
                 let Some(&idx) = self.send_by_flow.get(&pkt.flow.0) else {
                     return;
                 };
-                let (before, after) = self.with_core(idx, |core| {
-                    let before = core.cold.completed.len();
-                    core.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece, &sack);
-                    (before, core.cold.completed.len())
-                });
+                let mut core = self.flows.get_mut(idx);
+                let before = core.cold.completed.len();
+                core.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece, &sack);
+                let after = core.cold.completed.len();
                 if after > before {
                     self.advance_sequence(ctx, idx, after - before);
                 }
@@ -503,26 +444,33 @@ impl Agent<Segment> for TcpHost {
         let kind = token & ((1 << KIND_BITS) - 1);
         let idx = (token >> KIND_BITS) as usize;
         match kind {
-            KIND_RTO => self.with_core(idx, |core| core.on_rto_fire(ctx)),
-            KIND_PROBE => self.with_core(idx, |core| core.on_probe_deadline_fire(ctx)),
-            KIND_APP => match self.schedule[idx] {
-                AppEvent::Train {
-                    sender_idx, bytes, ..
-                } => self.with_core(sender_idx, |core| core.enqueue_train(ctx, bytes)),
-                AppEvent::Stop { sender_idx, .. } => {
-                    self.with_core(sender_idx, |core| core.truncate_unsent())
+            KIND_RTO => self.flows.get_mut(idx).on_rto_fire(ctx),
+            KIND_PROBE => self.flows.get_mut(idx).on_probe_deadline_fire(ctx),
+            KIND_APP => {
+                let ev = self.schedule[idx];
+                if !self.flows.is_current(ev.sender_idx, ev.generation) {
+                    return; // the sender was torn down: drop silently
                 }
-                AppEvent::Teardown { sender_idx, .. } => self.teardown_sender(ctx, sender_idx),
-            },
+                match ev.action {
+                    AppAction::Train { bytes } => {
+                        self.flows.get_mut(ev.sender_idx).enqueue_train(ctx, bytes)
+                    }
+                    AppAction::Stop => self.flows.get_mut(ev.sender_idx).truncate_unsent(),
+                    AppAction::Teardown => self.teardown_sender(ctx, ev.sender_idx),
+                }
+            }
             KIND_DELACK => self.receivers[idx].on_delack_timer(ctx),
             KIND_SEQ => {
                 let seq = &mut self.sequences[idx];
+                if !self.flows.is_current(seq.sender_idx, seq.generation) {
+                    return; // the sender was torn down: drop silently
+                }
                 if seq.next < seq.sizes.len() {
                     let bytes = seq.sizes[seq.next];
                     let index = seq.next as u32;
                     seq.next += 1;
                     let sender = seq.sender_idx;
-                    let flow = self.flows.cold(sender).flow;
+                    let flow = self.flows.get(sender).flow();
                     if index == 0 {
                         let planned_requests = seq.sizes.len() as u32;
                         ctx.emit_monitor_with(|| MonitorEvent::SessionStarted {
@@ -542,7 +490,7 @@ impl Agent<Segment> for TcpHost {
                             completed,
                         });
                     }
-                    self.with_core(sender, |core| core.enqueue_train(ctx, bytes));
+                    self.flows.get_mut(sender).enqueue_train(ctx, bytes);
                 }
             }
             _ => unreachable!("unknown timer kind {kind}"),

@@ -6,9 +6,8 @@
 //!   duplicate-ACK fast retransmit, NewReno partial-ACK recovery, and
 //!   go-back-N RTO recovery ([`conn`]);
 //! - per-packet-ACK receivers with ECN echo ([`receiver`]);
-//! - a host agent multiplexing many connections ([`host`]), their hot
-//!   state packed in a struct-of-arrays flow slab ([`slab`]) for
-//!   million-flow runs;
+//! - a host agent multiplexing many connections ([`host`]), their state
+//!   held in a row-per-flow slab for million-flow runs;
 //! - pluggable congestion control ([`cc`]): Reno, CUBIC, DCTCP, L2DCT, the
 //!   GIP-style restart baseline, and **TCP-TRIM** (embedding
 //!   [`trim_core::Trim`]).
@@ -30,7 +29,7 @@ pub mod host;
 pub mod receiver;
 pub mod rto;
 pub mod segment;
-pub mod slab;
+mod slab;
 
 pub use cc::{AckInfo, CcAlgo, CcKind, PreSendAction, WindowState};
 pub use config::TcpConfig;
@@ -38,4 +37,4 @@ pub use conn::{ConnRef, ConnStats, TrainRecord};
 pub use host::{ConnMut, TcpHost};
 pub use receiver::{Receiver, ReceiverStats};
 pub use segment::{SegKind, Segment};
-pub use slab::{FlowSlab, HotFlow, SlabAudit};
+pub use slab::SlabAudit;

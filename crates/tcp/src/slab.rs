@@ -1,63 +1,52 @@
-//! The flat flow slab: struct-of-arrays storage for the hot half of
-//! every sending connection on a host, keyed by dense flow id.
+//! The flow slab: one row per sending connection on a host, keyed by
+//! dense flow id.
 //!
-//! At million-flow scale the old `Vec<Connection>` layout paid a cache
-//! miss per field: one ACK walks the window, the RTO estimator, and the
-//! sequence cursors, each buried in a ~300-byte struct next to cold
-//! train queues and controller boxes. The slab stores those per-ACK
-//! fields in parallel vectors (`cwnd`, `ssthresh`, `srtt`, `rttvar`,
-//! sequence cursors — inflight is `next_seq - high_ack`), so an event
-//! touches a handful of dense columns; everything else stays behind one
-//! `Box<ColdConn>` per flow.
-//!
-//! [`checkout`](FlowSlab::checkout) gathers a [`HotFlow`] record from
-//! the columns and [`writeback`](FlowSlab::writeback) scatters it back —
-//! both are exact copies (f64 values move verbatim, the RTO estimator
-//! roundtrips via [`RtoEstimator::parts`]), so the split is
-//! observationally identical to the old layout and committed goldens
-//! stay byte-identical.
+//! Each row holds the flow's hot half inline — the [`HotFlow`] per-ACK
+//! working set (window, RTO estimator, sequence cursors, recovery
+//! flags) — next to one `Box<ColdConn>` for everything touched rarely.
+//! An event borrows both halves of its row in place as a
+//! [`ConnCore`], so the state machine runs on the stored record with no
+//! copy in or out, and one ACK touches one contiguous row.
 //!
 //! Slots are recycled through a freelist with generation counters and
 //! allocated/freed accounting, so teardown at scale reuses ids instead
-//! of growing the columns, and [`leak_check`](FlowSlab::leak_check)
+//! of growing the slab, and [`leak_check`](FlowSlab::leak_check)
 //! catches any slot that is neither live nor free.
 
-use netsim::sim::TimerId;
-use netsim::time::Dur;
-
 use crate::cc::WindowState;
-use crate::conn::ColdConn;
+use crate::conn::{ColdConn, ConnCore, ConnRef};
 use crate::rto::RtoEstimator;
+use netsim::sim::TimerId;
 
-/// The per-event working set of one sending connection, gathered from
-/// the slab's columns. Plain `Copy` data: gather, mutate, scatter.
+/// The per-event working set of one sending connection, stored inline
+/// in its slab row.
 #[derive(Clone, Copy, Debug)]
-pub struct HotFlow {
+pub(crate) struct HotFlow {
     /// Congestion window state (cwnd/ssthresh/bounds/suspended).
-    pub win: WindowState,
+    pub(crate) win: WindowState,
     /// RFC 6298 estimator (srtt/rttvar plus the configured clamp).
-    pub rto_est: RtoEstimator,
+    pub(crate) rto_est: RtoEstimator,
     /// Next fresh sequence to transmit.
-    pub next_seq: u64,
+    pub(crate) next_seq: u64,
     /// Highest cumulative ACK received.
-    pub high_ack: u64,
+    pub(crate) high_ack: u64,
     /// Highest sequence ever transmitted (fresh data high-water mark).
-    pub max_seq_sent: u64,
+    pub(crate) max_seq_sent: u64,
     /// Total packets handed over by the application so far.
-    pub total_pkts: u64,
+    pub(crate) total_pkts: u64,
     /// NewReno recovery point: recovery ends at this sequence.
-    pub recover: u64,
+    pub(crate) recover: u64,
     /// Consecutive duplicate ACKs seen.
-    pub dup_acks: u32,
+    pub(crate) dup_acks: u32,
     /// Karn backoff multiplier (doubles per RTO, capped at 64).
-    pub backoff: u32,
+    pub(crate) backoff: u32,
     /// Whether fast recovery is in progress.
-    pub in_recovery: bool,
+    pub(crate) in_recovery: bool,
     /// The armed retransmission timer, if any.
-    pub rto_timer: Option<TimerId>,
+    pub(crate) rto_timer: Option<TimerId>,
 }
 
-/// Lifecycle accounting for a [`FlowSlab`].
+/// Lifecycle accounting for a host's flow slab.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlabAudit {
     /// Flows ever inserted.
@@ -70,37 +59,23 @@ pub struct SlabAudit {
     pub high_water: u64,
 }
 
-/// Struct-of-arrays slab of sender state, keyed by dense flow id.
-#[derive(Debug, Default)]
-pub struct FlowSlab {
-    // Hot columns, one entry per slot, parallel by construction.
-    cwnd: Vec<f64>,
-    ssthresh: Vec<f64>,
-    min_cwnd: Vec<f64>,
-    max_cwnd: Vec<f64>,
-    suspended: Vec<bool>,
-    srtt: Vec<f64>,
-    has_srtt: Vec<bool>,
-    rttvar: Vec<f64>,
-    next_seq: Vec<u64>,
-    high_ack: Vec<u64>,
-    max_seq_sent: Vec<u64>,
-    total_pkts: Vec<u64>,
-    recover: Vec<u64>,
-    dup_acks: Vec<u32>,
-    backoff: Vec<u32>,
-    in_recovery: Vec<bool>,
-    rto_timer: Vec<Option<TimerId>>,
-    // RTO clamp bounds, duplicated from the cold config so checkout
-    // never touches the cold box.
-    min_rto: Vec<Dur>,
-    max_rto: Vec<Dur>,
-
+/// One slot of the slab.
+#[derive(Debug)]
+struct Row {
+    /// The hot half. Stale while the slot is vacant; `insert`
+    /// overwrites it.
+    hot: HotFlow,
     /// The cold half; `None` marks a vacant (or leaked) slot.
-    cold: Vec<Option<Box<ColdConn>>>,
-    /// Slot birth count: bumped on every removal, so tests can observe
-    /// id reuse.
-    generation: Vec<u32>,
+    cold: Option<Box<ColdConn>>,
+    /// Slot birth count: bumped on every removal, so stale events and
+    /// tests can detect id reuse.
+    generation: u32,
+}
+
+/// Row-per-flow slab of sender state, keyed by dense flow id.
+#[derive(Debug, Default)]
+pub(crate) struct FlowSlab {
+    rows: Vec<Row>,
     /// Vacant slot ids available for reuse.
     freelist: Vec<usize>,
 
@@ -113,56 +88,30 @@ pub struct FlowSlab {
 }
 
 impl FlowSlab {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        FlowSlab::default()
-    }
-
-    /// Creates an empty slab with column capacity for `n` flows.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut s = FlowSlab::default();
-        s.cwnd.reserve(n);
-        s.ssthresh.reserve(n);
-        s.min_cwnd.reserve(n);
-        s.max_cwnd.reserve(n);
-        s.suspended.reserve(n);
-        s.srtt.reserve(n);
-        s.has_srtt.reserve(n);
-        s.rttvar.reserve(n);
-        s.next_seq.reserve(n);
-        s.high_ack.reserve(n);
-        s.max_seq_sent.reserve(n);
-        s.total_pkts.reserve(n);
-        s.recover.reserve(n);
-        s.dup_acks.reserve(n);
-        s.backoff.reserve(n);
-        s.in_recovery.reserve(n);
-        s.rto_timer.reserve(n);
-        s.min_rto.reserve(n);
-        s.max_rto.reserve(n);
-        s.cold.reserve(n);
-        s.generation.reserve(n);
-        s
+    /// Creates an empty slab with room for `n` flows.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        FlowSlab {
+            rows: Vec::with_capacity(n),
+            ..FlowSlab::default()
+        }
     }
 
     /// Live flows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         (self.allocated - self.freed) as usize
     }
 
-    /// Whether no flows are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total slots ever created (live + vacant + leaked).
-    pub fn capacity(&self) -> usize {
-        self.cold.len()
-    }
-
     /// Whether `id` names a live flow.
-    pub fn contains(&self, id: usize) -> bool {
-        self.cold.get(id).is_some_and(Option::is_some)
+    pub(crate) fn contains(&self, id: usize) -> bool {
+        self.rows.get(id).is_some_and(|r| r.cold.is_some())
+    }
+
+    /// Whether `id` names a live flow born at `generation`, i.e. the
+    /// occupant an event recorded when it was scheduled.
+    pub(crate) fn is_current(&self, id: usize, generation: u32) -> bool {
+        self.rows
+            .get(id)
+            .is_some_and(|r| r.cold.is_some() && r.generation == generation)
     }
 
     /// The slot's birth count: 0 for a first occupant, +1 per removal.
@@ -170,12 +119,12 @@ impl FlowSlab {
     /// # Panics
     ///
     /// Panics if `id` was never allocated.
-    pub fn generation(&self, id: usize) -> u32 {
-        self.generation[id]
+    pub(crate) fn generation(&self, id: usize) -> u32 {
+        self.rows[id].generation
     }
 
     /// Lifecycle accounting so far.
-    pub fn audit(&self) -> SlabAudit {
+    pub(crate) fn audit(&self) -> SlabAudit {
         SlabAudit {
             allocated: self.allocated,
             freed: self.freed,
@@ -186,55 +135,40 @@ impl FlowSlab {
 
     /// Inserts a connection's split state; returns its dense flow id and
     /// stamps it into the cold half's `local_idx` (timer tokens embed
-    /// it). Vacated ids are reused before the columns grow.
+    /// it). Vacated ids are reused before the slab grows.
     pub(crate) fn insert(&mut self, hot: HotFlow, mut cold: Box<ColdConn>) -> usize {
         self.allocated += 1;
         self.high_water = self.high_water.max(self.allocated - self.freed);
         if let Some(id) = self.freelist.pop() {
             cold.local_idx = id as u64;
-            self.cold[id] = Some(cold);
-            self.writeback(id, &hot);
+            let row = &mut self.rows[id];
+            row.hot = hot;
+            row.cold = Some(cold);
             id
         } else {
-            let id = self.cold.len();
+            let id = self.rows.len();
             cold.local_idx = id as u64;
-            self.cwnd.push(hot.win.cwnd);
-            self.ssthresh.push(hot.win.ssthresh);
-            self.min_cwnd.push(hot.win.min_cwnd);
-            self.max_cwnd.push(hot.win.max_cwnd);
-            self.suspended.push(hot.win.suspended);
-            let (srtt, rttvar) = hot.rto_est.parts();
-            self.srtt.push(srtt.unwrap_or(0.0));
-            self.has_srtt.push(srtt.is_some());
-            self.rttvar.push(rttvar);
-            self.next_seq.push(hot.next_seq);
-            self.high_ack.push(hot.high_ack);
-            self.max_seq_sent.push(hot.max_seq_sent);
-            self.total_pkts.push(hot.total_pkts);
-            self.recover.push(hot.recover);
-            self.dup_acks.push(hot.dup_acks);
-            self.backoff.push(hot.backoff);
-            self.in_recovery.push(hot.in_recovery);
-            self.rto_timer.push(hot.rto_timer);
-            self.min_rto.push(cold.cfg.min_rto);
-            self.max_rto.push(cold.cfg.max_rto);
-            self.cold.push(Some(cold));
-            self.generation.push(0);
+            self.rows.push(Row {
+                hot,
+                cold: Some(cold),
+                generation: 0,
+            });
             id
         }
     }
 
     /// Removes a live flow, returning its cold half. The caller must
-    /// have cancelled the flow's timers first (`ColdConn::cancel_timers`)
+    /// have cancelled the flow's timers first (`ConnCore::cancel_timers`)
     /// so a recycled id cannot receive stale fires.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
     pub(crate) fn remove(&mut self, id: usize) -> Box<ColdConn> {
-        let cold = self.cold[id].take().expect("removed a vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "double-free of a flow id is a host bug, not a recoverable state")
+        let row = &mut self.rows[id];
+        let cold = row.cold.take().expect("removed a vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "double-free of a flow id is a host bug, not a recoverable state")
+        row.generation += 1;
         self.freed += 1;
-        self.generation[id] += 1;
         if self.leak_next_remove {
             // Fault: forget the slot instead of freeing it. leak_check()
             // must notice the id is neither live nor on the freelist.
@@ -248,15 +182,15 @@ impl FlowSlab {
     /// Fault injection: the next [`Self::remove`] drops the cold half
     /// but never returns the id to the freelist, simulating a lifecycle
     /// bug. Exists to prove [`Self::leak_check`] catches it.
-    pub fn inject_slot_leak(&mut self) {
+    pub(crate) fn inject_slot_leak(&mut self) {
         self.leak_next_remove = true;
     }
 
     /// Verifies the lifecycle books balance: occupied slots match
     /// `allocated - freed`, and every slot is either live or on the
     /// freelist (exactly once).
-    pub fn leak_check(&self) -> Result<(), String> {
-        let occupied = self.cold.iter().filter(|c| c.is_some()).count() as u64;
+    pub(crate) fn leak_check(&self) -> Result<(), String> {
+        let occupied = self.rows.iter().filter(|r| r.cold.is_some()).count() as u64;
         let live = self.allocated - self.freed;
         if occupied != live {
             return Err(format!(
@@ -264,9 +198,9 @@ impl FlowSlab {
                 self.allocated, self.freed
             ));
         }
-        let mut seen = vec![false; self.cold.len()];
+        let mut seen = vec![false; self.rows.len()];
         for &id in &self.freelist {
-            if self.cold[id].is_some() {
+            if self.rows[id].cold.is_some() {
                 return Err(format!("freelist holds live flow id {id}"));
             }
             if seen[id] {
@@ -275,99 +209,49 @@ impl FlowSlab {
             seen[id] = true;
         }
         let reachable = occupied as usize + self.freelist.len();
-        if reachable != self.cold.len() {
+        if reachable != self.rows.len() {
             return Err(format!(
                 "{} slab slot(s) leaked: {} total, {occupied} live, {} free",
-                self.cold.len() - reachable,
-                self.cold.len(),
+                self.rows.len() - reachable,
+                self.rows.len(),
                 self.freelist.len()
             ));
         }
         Ok(())
     }
 
-    /// Gathers the hot record for flow `id` from the columns.
+    /// Read-only view of live flow `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was never allocated.
-    pub fn checkout(&self, id: usize) -> HotFlow {
-        HotFlow {
-            win: WindowState {
-                cwnd: self.cwnd[id],
-                ssthresh: self.ssthresh[id],
-                min_cwnd: self.min_cwnd[id],
-                max_cwnd: self.max_cwnd[id],
-                suspended: self.suspended[id],
-            },
-            rto_est: RtoEstimator::from_parts(
-                self.min_rto[id],
-                self.max_rto[id],
-                self.has_srtt[id].then(|| self.srtt[id]),
-                self.rttvar[id],
-            ),
-            next_seq: self.next_seq[id],
-            high_ack: self.high_ack[id],
-            max_seq_sent: self.max_seq_sent[id],
-            total_pkts: self.total_pkts[id],
-            recover: self.recover[id],
-            dup_acks: self.dup_acks[id],
-            backoff: self.backoff[id],
-            in_recovery: self.in_recovery[id],
-            rto_timer: self.rto_timer[id],
+    /// Panics if `id` is not live.
+    pub(crate) fn get(&self, id: usize) -> ConnRef<'_> {
+        let row = &self.rows[id];
+        ConnRef {
+            hot: &row.hot,
+            cold: row.cold.as_deref().expect("vacant flow slot"), // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
         }
     }
 
-    /// Scatters a hot record back into the columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never allocated.
-    pub fn writeback(&mut self, id: usize, hot: &HotFlow) {
-        self.cwnd[id] = hot.win.cwnd;
-        self.ssthresh[id] = hot.win.ssthresh;
-        self.min_cwnd[id] = hot.win.min_cwnd;
-        self.max_cwnd[id] = hot.win.max_cwnd;
-        self.suspended[id] = hot.win.suspended;
-        let (srtt, rttvar) = hot.rto_est.parts();
-        self.srtt[id] = srtt.unwrap_or(0.0);
-        self.has_srtt[id] = srtt.is_some();
-        self.rttvar[id] = rttvar;
-        self.next_seq[id] = hot.next_seq;
-        self.high_ack[id] = hot.high_ack;
-        self.max_seq_sent[id] = hot.max_seq_sent;
-        self.total_pkts[id] = hot.total_pkts;
-        self.recover[id] = hot.recover;
-        self.dup_acks[id] = hot.dup_acks;
-        self.backoff[id] = hot.backoff;
-        self.in_recovery[id] = hot.in_recovery;
-        self.rto_timer[id] = hot.rto_timer;
-    }
-
-    /// Borrows the cold half of flow `id`.
+    /// Mutable state-machine view of live flow `id`, borrowing both
+    /// halves of its row in place.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub(crate) fn cold(&self, id: usize) -> &ColdConn {
-        self.cold[id].as_deref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+    pub(crate) fn get_mut(&mut self, id: usize) -> ConnCore<'_> {
+        let row = &mut self.rows[id];
+        ConnCore {
+            hot: &mut row.hot,
+            cold: row.cold.as_deref_mut().expect("vacant flow slot"), // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+        }
     }
 
-    /// Mutably borrows the cold half of flow `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not live.
-    pub(crate) fn cold_mut(&mut self, id: usize) -> &mut ColdConn {
-        self.cold[id].as_deref_mut().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
-    }
-
-    /// Ids of live flows, ascending.
-    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cold
+    /// Views of live flows, ascending by id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ConnRef<'_>> {
+        self.rows
             .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|_| i))
+            .filter_map(|r| r.cold.as_deref().map(|cold| ConnRef { hot: &r.hot, cold }))
     }
 }
 
@@ -380,6 +264,7 @@ mod tests {
     use crate::segment::Segment;
     use netsim::prelude::FlowId;
     use netsim::sim::Simulator;
+    use netsim::time::Dur;
 
     /// Any valid `NodeId` works as a destination; borrow one from a
     /// throwaway simulator.
@@ -393,7 +278,7 @@ mod tests {
     }
 
     fn filled(n: u64) -> FlowSlab {
-        let mut s = FlowSlab::new();
+        let mut s = FlowSlab::default();
         for f in 0..n {
             let (hot, cold) = entry(f, TcpConfig::default());
             s.insert(hot, cold);
@@ -409,10 +294,10 @@ mod tests {
             assert_eq!(s.insert(hot, cold), f as usize);
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.capacity(), 3);
+        assert_eq!(s.rows.len(), 3);
         assert!(s.contains(2) && !s.contains(3));
-        assert_eq!(s.cold(1).flow, FlowId(1));
-        assert_eq!(s.cold(1).local_idx, 1);
+        assert_eq!(s.get(1).flow(), FlowId(1));
+        assert_eq!(s.get(1).cold.local_idx, 1);
         assert_eq!(
             s.audit(),
             SlabAudit {
@@ -422,27 +307,43 @@ mod tests {
                 high_water: 3,
             }
         );
-        assert_eq!(s.live_ids().collect::<Vec<_>>(), vec![0, 1, 2]);
+        let flows: Vec<u64> = s.iter().map(|c| c.flow().0).collect();
+        assert_eq!(flows, vec![0, 1, 2]);
         s.leak_check().unwrap();
     }
 
     #[test]
     fn removed_id_is_reused_with_bumped_generation() {
         let mut s = filled(2);
+        // Dirty the first occupant's hot record, so a reused slot that
+        // kept it would show.
+        {
+            let core = s.get_mut(0);
+            core.hot.win.cwnd = 37.25;
+            core.hot.next_seq = 99;
+            core.hot.high_ack = 42;
+            core.hot.backoff = 64;
+            core.hot.in_recovery = true;
+            core.hot.rto_est.observe(Dur::from_millis(10));
+        }
         assert_eq!(s.generation(0), 0);
+        assert!(s.is_current(0, 0));
         let cold = s.remove(0);
         assert_eq!(cold.flow, FlowId(0));
         assert!(!s.contains(0));
+        assert!(!s.is_current(0, 0) && !s.is_current(0, 1));
         assert_eq!(s.generation(0), 1);
         s.leak_check().unwrap();
 
-        // The vacated id is reused before the columns grow, and the new
+        // The vacated id is reused before the slab grows, and the new
         // occupant's local_idx is restamped.
-        let (hot, cold) = entry(9, TcpConfig::default());
+        let cfg = TcpConfig::default();
+        let (hot, cold) = entry(9, cfg);
         assert_eq!(s.insert(hot, cold), 0);
-        assert_eq!(s.cold(0).flow, FlowId(9));
-        assert_eq!(s.cold(0).local_idx, 0);
-        assert_eq!(s.capacity(), 2, "reuse must not grow the columns");
+        assert_eq!(s.get(0).flow(), FlowId(9));
+        assert_eq!(s.get(0).cold.local_idx, 0);
+        assert!(s.is_current(0, 1) && !s.is_current(0, 0));
+        assert_eq!(s.rows.len(), 2, "reuse must not grow the slab");
         assert_eq!(
             s.audit(),
             SlabAudit {
@@ -453,96 +354,18 @@ mod tests {
             }
         );
         s.leak_check().unwrap();
-    }
 
-    #[test]
-    fn checkout_writeback_roundtrip_is_bit_exact() {
-        let mut s = filled(2);
-        let mut hot = s.checkout(1);
-        // Deliberately awkward values: non-dyadic floats, the Karn
-        // backoff cap, recovery flags, a large sequence cursor.
-        hot.win.cwnd = 0.1 + 0.2;
-        hot.win.ssthresh = 37.25;
-        hot.win.suspended = true;
-        hot.rto_est.observe(Dur::from_nanos(123_457));
-        hot.rto_est.observe(Dur::from_nanos(7_654_321));
-        hot.next_seq = u64::MAX - 3;
-        hot.high_ack = 1 << 40;
-        hot.max_seq_sent = u64::MAX - 3;
-        hot.total_pkts = 99;
-        hot.recover = (1 << 40) + 17;
-        hot.dup_acks = 3;
-        hot.backoff = 64;
-        hot.in_recovery = true;
-        s.writeback(1, &hot);
-
-        let back = s.checkout(1);
-        assert_eq!(back.win.cwnd.to_bits(), hot.win.cwnd.to_bits());
-        assert_eq!(back.win.ssthresh.to_bits(), hot.win.ssthresh.to_bits());
-        assert!(back.win.suspended);
-        let (srtt_a, rttvar_a) = hot.rto_est.parts();
-        let (srtt_b, rttvar_b) = back.rto_est.parts();
-        assert_eq!(srtt_b.map(f64::to_bits), srtt_a.map(f64::to_bits));
-        assert_eq!(rttvar_b.to_bits(), rttvar_a.to_bits());
-        assert_eq!(back.rto_est.rto(), hot.rto_est.rto());
-        assert_eq!(back.next_seq, hot.next_seq);
-        assert_eq!(back.high_ack, hot.high_ack);
-        assert_eq!(back.max_seq_sent, hot.max_seq_sent);
-        assert_eq!(back.total_pkts, hot.total_pkts);
-        assert_eq!(back.recover, hot.recover);
-        assert_eq!(back.dup_acks, hot.dup_acks);
-        assert_eq!(back.backoff, hot.backoff);
-        assert!(back.in_recovery);
-        assert_eq!(back.rto_timer, hot.rto_timer);
-
-        // The no-sample estimator state also survives (srtt None).
-        let fresh = s.checkout(0);
-        assert_eq!(fresh.rto_est.parts().0, None);
-        assert_eq!(fresh.rto_est.rto(), TcpConfig::default().min_rto);
-    }
-
-    /// Satellite proof for the migration: the RFC 6298 recurrence holds
-    /// bit-for-bit when the estimator lives in slab columns and is
-    /// gathered/scattered around every sample, exactly like the per-event
-    /// checkout in `TcpHost`.
-    #[test]
-    fn slab_backed_rfc6298_matches_direct_estimator() {
-        const MS: u64 = 1_000_000;
-        let streams: [&[u64]; 4] = [
-            &[10 * MS],
-            &[10 * MS, 20 * MS, 20 * MS],
-            &[100_000, 5 * MS, 123_457, 90 * MS],
-            &[3 * MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS, 50 * MS],
-        ];
-        for (i, samples) in streams.iter().enumerate() {
-            let cfg = TcpConfig {
-                min_rto: Dur::from_millis(1),
-                max_rto: Dur::from_millis(40),
-                ..TcpConfig::default()
-            };
-            let mut direct = RtoEstimator::new(cfg.min_rto, cfg.max_rto);
-            let mut s = FlowSlab::new();
-            let (hot, cold) = entry(i as u64, cfg);
-            let id = s.insert(hot, cold);
-            for &ns in *samples {
-                direct.observe(Dur::from_nanos(ns));
-                let mut hot = s.checkout(id);
-                hot.rto_est.observe(Dur::from_nanos(ns));
-                s.writeback(id, &hot);
-                let stored = s.checkout(id).rto_est;
-                assert_eq!(stored.rto(), direct.rto(), "stream {i}");
-                assert_eq!(
-                    stored.parts().0.map(f64::to_bits),
-                    direct.parts().0.map(f64::to_bits),
-                    "stream {i}"
-                );
-                assert_eq!(
-                    stored.parts().1.to_bits(),
-                    direct.parts().1.to_bits(),
-                    "stream {i}"
-                );
-            }
-        }
+        // The reused row holds the new flow's fresh state, not the old
+        // occupant's.
+        let fresh = s.get(0);
+        assert_eq!(fresh.cwnd().to_bits(), cfg.init_cwnd.to_bits());
+        assert_eq!(fresh.hot.next_seq, 0);
+        assert_eq!(fresh.hot.high_ack, 0);
+        assert_eq!(fresh.hot.backoff, 1);
+        assert!(!fresh.hot.in_recovery);
+        assert_eq!(fresh.hot.rto_timer, None);
+        assert_eq!(fresh.srtt(), None);
+        assert_eq!(fresh.flight(), 0);
     }
 
     #[test]
@@ -557,7 +380,7 @@ mod tests {
         assert!(err.contains("leaked"), "unexpected message: {err}");
 
         // The leaked id must never be handed out again: the next insert
-        // grows the columns instead.
+        // grows the slab instead.
         let (hot, cold) = entry(9, TcpConfig::default());
         assert_eq!(s.insert(hot, cold), 3);
         // The fault is one-shot: a later remove frees normally.

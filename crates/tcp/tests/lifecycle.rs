@@ -156,3 +156,55 @@ fn teardown_after_drain_is_clean() {
     );
     assert_eq!(sim.audit_stats().in_flight(), 0);
 }
+
+/// A train scheduled for a sender after its teardown is dropped like a
+/// late ACK for an unknown flow: the run completes, the slot stays
+/// freed, and the books balance.
+#[test]
+fn train_after_teardown_is_dropped() {
+    let (mut sim, tx, _fe) = multi_sender(3);
+    {
+        let host = sim.host_mut::<TcpHost>(tx);
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.00105));
+        host.schedule_train(1, SimTime::from_secs_f64(0.002), 30_000);
+    }
+    sim.run();
+
+    let host: &TcpHost = sim.host(tx);
+    assert_eq!(host.sender_count(), 2);
+    assert_eq!(host.slab_audit().freed, 1);
+    host.slab_leak_check().unwrap();
+    let live: Vec<u64> = host.connections().map(|c| c.flow().0).collect();
+    assert_eq!(live, vec![0, 2]);
+    let audit = sim.audit_stats();
+    assert_eq!(audit.injected, audit.delivered + audit.dropped);
+    assert_eq!(audit.in_flight(), 0);
+}
+
+/// A second teardown of the same sender is a no-op: the slot is freed
+/// exactly once.
+#[test]
+fn double_teardown_frees_once() {
+    let (mut sim, tx, _fe) = multi_sender(3);
+    {
+        let host = sim.host_mut::<TcpHost>(tx);
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.00105));
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.002));
+    }
+    sim.run();
+
+    let host: &TcpHost = sim.host(tx);
+    assert_eq!(host.sender_count(), 2);
+    assert_eq!(
+        host.slab_audit(),
+        SlabAudit {
+            allocated: 3,
+            freed: 1,
+            live: 2,
+            high_water: 3,
+        }
+    );
+    assert_eq!(host.sender_generation(1), 1);
+    host.slab_leak_check().unwrap();
+    assert_eq!(sim.audit_stats().in_flight(), 0);
+}
