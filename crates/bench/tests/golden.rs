@@ -2,7 +2,7 @@
 //! deterministically, independent of worker count, and reproduce the
 //! committed CSVs under `results/` within the documented tolerance.
 //!
-//! Five campaigns cover the artifact families: `trace` (simulation
+//! Seven campaigns cover the artifact families: `trace` (simulation
 //! driven — exercises the event engine end to end, so any ordering or
 //! arithmetic drift in the engine shows up here), `kmodel`
 //! (analytical — exercises the harness/reduce path without a
@@ -12,7 +12,10 @@
 //! cross-validation — exercises the AQM drop paths and the
 //! oscillation monitors), and `million_flow` (the packed incast with
 //! hundreds of senders per host — drives the timing wheel's RTO storm
-//! path and a deep flow slab on every event). Each
+//! path and a deep flow slab on every event), `impairment` (Fig. 4/6,
+//! whose per-connection detail reads the recorded window traces) and
+//! `properties` (Fig. 9, whose queue series is the recorded bottleneck
+//! queue). Each
 //! runs at `--jobs 1` and `--jobs 8`; worker count must not leak into
 //! artifacts at all.
 
@@ -85,4 +88,14 @@ fn aqm_campaign_is_jobs_invariant_and_matches_committed_goldens() {
 #[test]
 fn million_flow_campaign_is_jobs_invariant_and_matches_committed_goldens() {
     assert_campaign_reproduces_goldens("million_flow");
+}
+
+#[test]
+fn impairment_campaign_is_jobs_invariant_and_matches_committed_goldens() {
+    assert_campaign_reproduces_goldens("impairment");
+}
+
+#[test]
+fn properties_campaign_is_jobs_invariant_and_matches_committed_goldens() {
+    assert_campaign_reproduces_goldens("properties");
 }

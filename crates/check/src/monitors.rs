@@ -257,26 +257,26 @@ impl InvariantMonitor for FifoOrder {
                     .or_default()
                     .push_back((*uid, *flow));
             }
-            MonitorEvent::Dequeued { channel, flow, uid } => {
-                match self.queues.entry(*channel).or_default().pop_front() {
-                    Some((head_uid, _)) if head_uid == *uid => {}
-                    Some((head_uid, head_flow)) => self.violations.push(Violation {
-                        at,
-                        monitor: "fifo-order",
-                        flow: Some(*flow),
-                        detail: format!(
-                            "{channel} dequeued pkt#{uid} but head of queue \
+            MonitorEvent::Dequeued {
+                channel, flow, uid, ..
+            } => match self.queues.entry(*channel).or_default().pop_front() {
+                Some((head_uid, _)) if head_uid == *uid => {}
+                Some((head_uid, head_flow)) => self.violations.push(Violation {
+                    at,
+                    monitor: "fifo-order",
+                    flow: Some(*flow),
+                    detail: format!(
+                        "{channel} dequeued pkt#{uid} but head of queue \
                              is pkt#{head_uid} ({head_flow})"
-                        ),
-                    }),
-                    None => self.violations.push(Violation {
-                        at,
-                        monitor: "fifo-order",
-                        flow: Some(*flow),
-                        detail: format!("{channel} dequeued pkt#{uid} from an empty queue"),
-                    }),
-                }
-            }
+                    ),
+                }),
+                None => self.violations.push(Violation {
+                    at,
+                    monitor: "fifo-order",
+                    flow: Some(*flow),
+                    detail: format!("{channel} dequeued pkt#{uid} from an empty queue"),
+                }),
+            },
             // A CoDel sojourn drop removes the *head* of the queue
             // without a matching `Dequeued`: consume it here so later
             // dequeues still line up.
@@ -1199,6 +1199,8 @@ mod tests {
             t(1),
             &MonitorEvent::Injected {
                 node,
+                src: node,
+                dst: node,
                 flow: FlowId(1),
                 uid: 1,
                 size: 100,
@@ -1208,6 +1210,8 @@ mod tests {
             t(2),
             &MonitorEvent::Delivered {
                 node,
+                src: node,
+                dst: node,
                 flow: FlowId(1),
                 uid: 1,
                 size: 100,
@@ -1220,6 +1224,8 @@ mod tests {
             t(3),
             &MonitorEvent::Delivered {
                 node,
+                src: node,
+                dst: node,
                 flow: FlowId(1),
                 uid: 99,
                 size: 100,
@@ -1266,6 +1272,8 @@ mod tests {
                 t(1),
                 &MonitorEvent::Injected {
                     node: ids().0,
+                    src: ids().0,
+                    dst: ids().0,
                     flow: FlowId(1),
                     uid,
                     size: 100,
@@ -1275,6 +1283,8 @@ mod tests {
                 t(2),
                 &MonitorEvent::Delivered {
                     node: ids().0,
+                    src: ids().0,
+                    dst: ids().0,
                     flow: FlowId(1),
                     uid,
                     size: 100,
@@ -1399,6 +1409,7 @@ mod tests {
                 channel: ch,
                 flow: FlowId(0),
                 uid: 2,
+                len_after: 0,
             },
         );
         assert_eq!(m.violations().len(), 1);

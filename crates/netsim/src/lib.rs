@@ -12,8 +12,10 @@
 //!   through a [`sim::Ctx`],
 //! - the paper's topologies: many-to-one, two-tier, multi-hop and fat-tree
 //!   ([`topology`]),
-//! - measurement helpers: queue statistics, queue-length recording, and
-//!   throughput/series tracing ([`trace`]).
+//! - measurement helpers: queue statistics, throughput/series tracing
+//!   and the packet-event trace ([`trace`]),
+//! - one observation stream: traces and invariant checkers alike observe
+//!   [`monitor::MonitorEvent`]s ([`monitor`]).
 //!
 //! Determinism: event ordering is exact (`(time, insertion-sequence)`
 //! keys), so a simulation is a pure function of its inputs.

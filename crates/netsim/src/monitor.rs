@@ -1,22 +1,28 @@
-//! Runtime invariant monitoring hooks for the simulator.
+//! The simulator's single observation stream.
 //!
-//! An [`InvariantMonitor`] observes a stream of [`MonitorEvent`]s emitted
-//! by the engine (and by protocol agents through
-//! [`Ctx::emit_monitor`](crate::sim::Ctx::emit_monitor)) and records
-//! [`Violation`]s without ever influencing the simulation: monitoring is
-//! strictly read-only, so a monitored run produces byte-identical results
-//! to an unmonitored one.
+//! Everything a run reports beyond its own counters flows through one
+//! path: the engine (and protocol agents, through
+//! [`Ctx::emit_monitor`](crate::sim::Ctx::emit_monitor)) emits
+//! [`MonitorEvent`]s, and every attached [`InvariantMonitor`] observes
+//! them. Checkers record [`Violation`]s; recording observers such as
+//! [`PacketTrace`](crate::trace::PacketTrace) build their own records
+//! and are read back with
+//! [`Simulator::monitor`](crate::sim::Simulator::monitor).
+//! Observation is strictly read-only, so an observed run produces
+//! byte-identical results to an unobserved one.
 //!
-//! Cost when disabled: every emission site first checks whether any
+//! Cost when detached: every emission site first checks whether any
 //! monitor is attached and returns immediately otherwise, so the
-//! overhead of an unmonitored simulation is one branch per event.
+//! overhead of an unobserved simulation is one branch per event.
 //!
-//! The built-in monitors (packet conservation, queue bounds, per-port
-//! FIFO order, clock monotonicity, cwnd range, and TRIM probe-machine
-//! legality) live in the `trim-check` crate; this module only defines
-//! the contract.
+//! This module holds the contract: the event type, the observer trait
+//! and the engine's audit record. The packet trace lives in
+//! [`crate::trace`]; the built-in checkers (packet conservation, queue
+//! bounds, per-port FIFO order, clock monotonicity, cwnd range, TRIM
+//! probe-machine legality) live in the `trim-check` crate.
 
 use core::fmt;
+use std::any::Any;
 
 use crate::packet::{ChannelId, FlowId, NodeId};
 use crate::time::SimTime;
@@ -60,8 +66,9 @@ impl fmt::Display for ProbeTransition {
 /// One observation handed to every attached monitor.
 ///
 /// Engine-level events (`Clock`, `Injected`, `Delivered`, `Dropped`,
-/// `Enqueued`, `Dequeued`) are emitted by the simulator itself;
-/// protocol-level events (`CwndUpdate`, `ProbeTransition`) are emitted
+/// `AqmEarlyDrop`, `SojournDrop`, `Enqueued`, `Dequeued`) are emitted by
+/// the simulator itself; protocol-level events (`CwndUpdate`,
+/// `AckWindow`, `ProbeTransition`) and the session events are emitted
 /// by transport agents through
 /// [`Ctx::emit_monitor`](crate::sim::Ctx::emit_monitor).
 #[derive(Clone, Debug, PartialEq)]
@@ -77,6 +84,10 @@ pub enum MonitorEvent {
     Injected {
         /// The sending host.
         node: NodeId,
+        /// Source host written in the packet.
+        src: NodeId,
+        /// Destination host written in the packet.
+        dst: NodeId,
         /// Flow label of the packet.
         flow: FlowId,
         /// Engine-assigned unique packet id.
@@ -88,6 +99,10 @@ pub enum MonitorEvent {
     Delivered {
         /// The receiving host.
         node: NodeId,
+        /// Source host of the packet.
+        src: NodeId,
+        /// Destination host of the packet.
+        dst: NodeId,
         /// Flow label of the packet.
         flow: FlowId,
         /// Engine-assigned unique packet id.
@@ -95,10 +110,15 @@ pub enum MonitorEvent {
         /// Wire size in bytes.
         size: u32,
     },
-    /// A queue refused a packet (capacity, RED, or injected fault).
+    /// A queue dropped a packet (capacity, RED, CoDel, or injected
+    /// fault).
     Dropped {
         /// The channel whose queue dropped the packet.
         channel: ChannelId,
+        /// Source host of the packet.
+        src: NodeId,
+        /// Destination host of the packet.
+        dst: NodeId,
         /// Flow label of the packet.
         flow: FlowId,
         /// Engine-assigned unique packet id.
@@ -161,6 +181,9 @@ pub enum MonitorEvent {
         flow: FlowId,
         /// Engine-assigned unique packet id.
         uid: u64,
+        /// Queue length in packets immediately after the dequeue (and
+        /// after any CoDel drops it made).
+        len_after: usize,
     },
     /// A transport connection updated its congestion window.
     CwndUpdate {
@@ -297,16 +320,19 @@ impl AuditStats {
     }
 }
 
-/// A runtime invariant checker attached to a
-/// [`Simulator`](crate::sim::Simulator).
+/// An observer attached to a [`Simulator`](crate::sim::Simulator): an
+/// invariant checker or a recording observer.
 ///
 /// Monitors are strictly observers: `observe` receives a shared
 /// reference to each event and has no channel back into the engine, so
 /// attaching any number of monitors cannot change simulation results.
-/// Record problems with an internal `Vec<Violation>` and report them
-/// from [`InvariantMonitor::violations`]; do not panic from `observe`,
-/// so a single run can surface every violation at once.
-pub trait InvariantMonitor {
+/// Checkers record problems with an internal `Vec<Violation>` and report
+/// them from [`InvariantMonitor::violations`]; do not panic from
+/// `observe`, so a single run can surface every violation at once.
+/// Recording observers keep the default empty `violations` and are read
+/// back by concrete type through
+/// [`Simulator::monitor`](crate::sim::Simulator::monitor).
+pub trait InvariantMonitor: Any {
     /// A short stable name, used in violation reports.
     fn name(&self) -> &'static str;
 
@@ -320,8 +346,11 @@ pub trait InvariantMonitor {
     /// re-derive any end-of-run checks each time.
     fn finalize(&mut self, _at: SimTime, _audit: &AuditStats) {}
 
-    /// The violations recorded so far.
-    fn violations(&self) -> &[Violation];
+    /// The violations recorded so far (none, for an observer that only
+    /// records).
+    fn violations(&self) -> &[Violation] {
+        &[]
+    }
 }
 
 impl fmt::Debug for dyn InvariantMonitor {
@@ -352,6 +381,11 @@ mod tests {
         assert!(s.contains("t=1234ns"));
         assert!(s.contains("f7"));
         assert!(s.contains("len 101 > cap 100"));
+    }
+
+    #[test]
+    fn events_stay_48_bytes() {
+        assert_eq!(std::mem::size_of::<MonitorEvent>(), 48);
     }
 
     #[test]

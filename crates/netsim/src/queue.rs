@@ -248,7 +248,8 @@ impl QueueStats {
     }
 }
 
-/// A point in a recorded queue-length time series.
+/// A point in a queue-length time series, as an observer rebuilds it
+/// from the `len_after` of `Enqueued`/`Dequeued` monitor events.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueueSample {
     /// When the sample was taken.
@@ -270,7 +271,7 @@ pub struct SojournDrop<P> {
 }
 
 /// A FIFO queue with a configurable discipline (drop-tail backstop plus
-/// optional RED or CoDel), statistics, and an optional length recorder.
+/// optional RED or CoDel) and statistics.
 #[derive(Debug)]
 pub struct DropTailQueue<P> {
     config: QueueConfig,
@@ -279,7 +280,6 @@ pub struct DropTailQueue<P> {
     bytes: u64,
     stats: QueueStats,
     last_change: SimTime,
-    recorder: Option<Vec<QueueSample>>,
     /// Fault injection: 0-based indices (in arrival order) of packets to
     /// drop deterministically, regardless of occupancy.
     forced_drops: FastHashSet<u64>,
@@ -329,7 +329,6 @@ impl<P: Payload> DropTailQueue<P> {
             bytes: 0,
             stats: QueueStats::default(),
             last_change: SimTime::ZERO,
-            recorder: None,
             forced_drops: FastHashSet::default(),
             overadmit_budget: 0,
             arrivals: 0,
@@ -369,21 +368,6 @@ impl<P: Payload> DropTailQueue<P> {
     /// The queue's configuration.
     pub fn config(&self) -> QueueConfig {
         self.config
-    }
-
-    /// Starts recording a (time, length) sample on every length change.
-    pub fn enable_recording(&mut self) {
-        if self.recorder.is_none() {
-            self.recorder = Some(vec![QueueSample {
-                at: SimTime::ZERO,
-                len: self.items.len(),
-            }]);
-        }
-    }
-
-    /// The recorded length series, if recording was enabled.
-    pub fn samples(&self) -> Option<&[QueueSample]> {
-        self.recorder.as_deref()
     }
 
     /// Current length in packets.
@@ -437,7 +421,6 @@ impl<P: Payload> DropTailQueue<P> {
                 self.items.push_back((now, pkt));
                 self.stats.enqueued += 1;
                 self.stats.max_len = self.stats.max_len.max(self.items.len());
-                self.record(now);
                 return EnqueueOutcome::Accepted;
             }
             self.stats.dropped += 1;
@@ -483,7 +466,6 @@ impl<P: Payload> DropTailQueue<P> {
         self.items.push_back((now, pkt));
         self.stats.enqueued += 1;
         self.stats.max_len = self.stats.max_len.max(self.items.len());
-        self.record(now);
         EnqueueOutcome::Accepted
     }
 
@@ -501,7 +483,6 @@ impl<P: Payload> DropTailQueue<P> {
         let pkt = pkt?;
         self.stats.dequeued += 1;
         self.stats.dequeued_bytes += pkt.size as u64;
-        self.record(now);
         Some(pkt)
     }
 
@@ -642,15 +623,6 @@ impl<P: Payload> DropTailQueue<P> {
             self.last_change = now;
         }
     }
-
-    fn record(&mut self, now: SimTime) {
-        if let Some(rec) = &mut self.recorder {
-            rec.push(QueueSample {
-                at: now,
-                len: self.items.len(),
-            });
-        }
-    }
 }
 
 /// CoDel's drop-pacing control law: the next drop comes
@@ -732,25 +704,6 @@ mod tests {
     fn average_len_zero_span() {
         let q: DropTailQueue<TagPayload> = DropTailQueue::new(QueueConfig::default());
         assert_eq!(q.stats().average_len(Dur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn recording_captures_changes() {
-        let mut q = DropTailQueue::new(QueueConfig::drop_tail(10));
-        q.enable_recording();
-        q.enqueue(t(1), pkt(100));
-        q.enqueue(t(2), pkt(100));
-        q.dequeue(t(3));
-        let s = q.samples().unwrap();
-        assert_eq!(
-            s,
-            &[
-                QueueSample { at: t(0), len: 0 },
-                QueueSample { at: t(1), len: 1 },
-                QueueSample { at: t(2), len: 2 },
-                QueueSample { at: t(3), len: 1 },
-            ]
-        );
     }
 
     #[derive(Clone, Copy, Debug, Default)]

@@ -32,9 +32,8 @@ use crate::eventq::EventQueue;
 use crate::hash::FastHashMap;
 use crate::monitor::{AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use crate::packet::{ChannelId, FlowId, NodeId, Packet, Payload};
-use crate::queue::{QueueConfig, QueueSample, QueueStats};
+use crate::queue::{QueueConfig, QueueStats};
 use crate::time::{Dur, SimTime};
-use crate::trace::{PacketEvent, PacketEventKind, PacketTrace};
 use crate::units::{Bandwidth, QueueCapacity};
 use crate::wheel::TimerWheel;
 
@@ -142,7 +141,6 @@ struct Core<P: Payload> {
     /// Cached `!monitors.is_empty()`; the one branch every emission site
     /// pays when monitoring is detached.
     monitors_on: bool,
-    ptrace: Option<PacketTrace>,
     monitors: Vec<Box<dyn InvariantMonitor>>,
 }
 
@@ -196,11 +194,15 @@ impl<P: Payload> Core<P> {
         self.pending_arrivals += 1;
         self.schedule(now + ser, Ev::TxDone { ch });
         self.schedule(now + ser + delay, Ev::Arrival { node: to, pkt });
-        self.emit(MonitorEvent::Dequeued {
-            channel: ch,
-            flow,
-            uid,
-        });
+        if self.monitors_on {
+            let len_after = self.channels[ch.index()].queue.len();
+            self.emit(MonitorEvent::Dequeued {
+                channel: ch,
+                flow,
+                uid,
+                len_after,
+            });
+        }
     }
 
     fn set_timer(&mut self, node: NodeId, delay: Dur, token: u64) -> TimerId {
@@ -233,24 +235,36 @@ impl<P: Payload> Core<P> {
         self.events_processed += 1;
     }
 
-    /// Delivery bookkeeping for a packet that terminated at host `node`:
-    /// engine counters, packet trace, and the `Delivered` monitor event.
-    fn note_delivery(&mut self, node: NodeId, pkt: &Packet<P>) {
-        self.delivered_pkts += 1;
-        self.delivered_bytes += pkt.size as u64;
-        if let Some(t) = &mut self.ptrace {
-            t.record(PacketEvent {
-                at: self.now,
-                kind: PacketEventKind::Delivered { node },
+    /// Stamps a packet a host hands to the network (send time, unique
+    /// id), counts it, emits `Injected` and forwards it out of `node`.
+    fn inject(&mut self, node: NodeId, mut pkt: Packet<P>) {
+        pkt.sent_at = self.now;
+        self.next_uid += 1;
+        pkt.uid = self.next_uid;
+        self.injected_pkts += 1;
+        if self.monitors_on {
+            self.emit(MonitorEvent::Injected {
+                node,
                 src: pkt.src,
                 dst: pkt.dst,
                 flow: pkt.flow,
+                uid: pkt.uid,
                 size: pkt.size,
             });
         }
+        self.forward(node, pkt);
+    }
+
+    /// Delivery bookkeeping for a packet that terminated at host `node`:
+    /// engine counters and the `Delivered` monitor event.
+    fn note_delivery(&mut self, node: NodeId, pkt: &Packet<P>) {
+        self.delivered_pkts += 1;
+        self.delivered_bytes += pkt.size as u64;
         if self.monitors_on {
             self.emit(MonitorEvent::Delivered {
                 node,
+                src: pkt.src,
+                dst: pkt.dst,
                 flow: pkt.flow,
                 uid: pkt.uid,
                 size: pkt.size,
@@ -264,7 +278,6 @@ impl<P: Payload> Core<P> {
     fn note_enqueue_drop(
         &mut self,
         ch: ChannelId,
-        now: SimTime,
         src: NodeId,
         dst: NodeId,
         flow: FlowId,
@@ -278,18 +291,13 @@ impl<P: Payload> Core<P> {
             crate::queue::EnqueueOutcome::EarlyDropped { avg_queue } => Some(avg_queue),
         };
         self.dropped_pkts += 1;
-        if let Some(t) = &mut self.ptrace {
-            t.record(PacketEvent {
-                at: now,
-                kind: PacketEventKind::Dropped { channel: ch },
-                src,
-                dst,
-                flow,
-                size,
-            });
+        if !self.monitors_on {
+            return true;
         }
         self.emit(MonitorEvent::Dropped {
             channel: ch,
+            src,
+            dst,
             flow,
             uid,
             size,
@@ -307,29 +315,24 @@ impl<P: Payload> Core<P> {
     }
 
     /// Accounts for packets a CoDel queue dropped during a dequeue:
-    /// engine drop counter, packet trace, and the `Dropped` +
-    /// `SojournDrop` monitor events, in queue order.
-    fn drain_sojourn_drops(&mut self, ch: ChannelId, now: SimTime) {
+    /// engine drop counter and the `Dropped` + `SojournDrop` monitor
+    /// events, in queue order.
+    fn drain_sojourn_drops(&mut self, ch: ChannelId) {
         if !self.channels[ch.index()].queue.has_sojourn_drops() {
             return;
         }
         let drops = self.channels[ch.index()].queue.take_sojourn_drops();
+        self.dropped_pkts += drops.len() as u64;
+        if !self.monitors_on {
+            return;
+        }
         for d in drops {
             let (src, dst, flow, size, uid) =
                 (d.pkt.src, d.pkt.dst, d.pkt.flow, d.pkt.size, d.pkt.uid);
-            self.dropped_pkts += 1;
-            if let Some(t) = &mut self.ptrace {
-                t.record(PacketEvent {
-                    at: now,
-                    kind: PacketEventKind::Dropped { channel: ch },
-                    src,
-                    dst,
-                    flow,
-                    size,
-                });
-            }
             self.emit(MonitorEvent::Dropped {
                 channel: ch,
+                src,
+                dst,
                 flow,
                 uid,
                 size,
@@ -349,35 +352,21 @@ impl<P: Payload> Core<P> {
     fn channel_send(&mut self, ch: ChannelId, now: SimTime, pkt: Packet<P>) {
         let (src, dst, flow, size, uid) = (pkt.src, pkt.dst, pkt.flow, pkt.size, pkt.uid);
         let c = &mut self.channels[ch.index()];
-        let cap_pkts = match c.queue.config().capacity {
-            QueueCapacity::Packets(n) => Some(n),
-            QueueCapacity::Bytes(_) => None,
-        };
-        if c.busy {
-            let outcome = c.queue.enqueue(now, pkt);
-            if !self.note_enqueue_drop(ch, now, src, dst, flow, size, uid, outcome)
-                && self.monitors_on
-            {
-                let len_after = self.channels[ch.index()].queue.len();
-                self.emit(MonitorEvent::Enqueued {
-                    channel: ch,
-                    flow,
-                    uid,
-                    len_after,
-                    cap_pkts,
-                });
-            }
-            return;
-        }
-        // Count packets that bypass the queue in the queue stats so that
-        // enqueue/dequeued reflect every packet offered to the channel.
-        // The enqueue can still fail (zero capacity, injected fault).
+        let busy = c.busy;
+        // An idle channel still passes the packet through its queue, so
+        // the queue stats count every packet offered to the channel. The
+        // enqueue can still fail (zero capacity, injected fault).
         let outcome = c.queue.enqueue(now, pkt);
-        if self.note_enqueue_drop(ch, now, src, dst, flow, size, uid, outcome) {
+        if self.note_enqueue_drop(ch, src, dst, flow, size, uid, outcome) {
             return;
         }
         if self.monitors_on {
-            let len_after = self.channels[ch.index()].queue.len();
+            let q = &self.channels[ch.index()].queue;
+            let cap_pkts = match q.config().capacity {
+                QueueCapacity::Packets(n) => Some(n),
+                QueueCapacity::Bytes(_) => None,
+            };
+            let len_after = q.len();
             self.emit(MonitorEvent::Enqueued {
                 channel: ch,
                 flow,
@@ -385,6 +374,9 @@ impl<P: Payload> Core<P> {
                 len_after,
                 cap_pkts,
             });
+        }
+        if busy {
+            return;
         }
         let c = &mut self.channels[ch.index()];
         c.busy = true;
@@ -400,7 +392,7 @@ impl<P: Payload> Core<P> {
         let head = c.queue.dequeue(now);
         // CoDel may have dropped queued packets during that dequeue;
         // account for them before the survivor's `Dequeued` event.
-        self.drain_sojourn_drops(ch, now);
+        self.drain_sojourn_drops(ch);
         match head {
             Some(pkt) => self.transmit(ch, now, pkt),
             None => self.channels[ch.index()].busy = false,
@@ -580,30 +572,8 @@ impl<P: Payload> Ctx<'_, P> {
     /// # Panics
     ///
     /// Panics if the destination is unreachable.
-    pub fn send(&mut self, mut pkt: Packet<P>) {
-        pkt.sent_at = self.core.now;
-        self.core.next_uid += 1;
-        pkt.uid = self.core.next_uid;
-        self.core.injected_pkts += 1;
-        if let Some(t) = &mut self.core.ptrace {
-            t.record(PacketEvent {
-                at: self.core.now,
-                kind: PacketEventKind::Sent { node: self.node },
-                src: pkt.src,
-                dst: pkt.dst,
-                flow: pkt.flow,
-                size: pkt.size,
-            });
-        }
-        if self.core.monitors_on {
-            self.core.emit(MonitorEvent::Injected {
-                node: self.node,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                size: pkt.size,
-            });
-        }
-        self.core.forward(self.node, pkt);
+    pub fn send(&mut self, pkt: Packet<P>) {
+        self.core.inject(self.node, pkt);
     }
 
     /// Reports a protocol-level event (window update, probe transition)
@@ -709,7 +679,6 @@ impl<P: Payload> Simulator<P> {
                 events_processed: 0,
                 next_uid: 0,
                 monitors_on: false,
-                ptrace: None,
                 monitors: Vec::new(),
             },
             agents: Vec::new(),
@@ -770,30 +739,7 @@ impl<P: Payload> Simulator<P> {
     /// if its agent had sent it. Useful for tests and simple examples.
     pub fn inject(&mut self, src: NodeId, pkt: Packet<P>) {
         self.ensure_ready();
-        let mut pkt = pkt;
-        pkt.sent_at = self.core.now;
-        self.core.next_uid += 1;
-        pkt.uid = self.core.next_uid;
-        self.core.injected_pkts += 1;
-        if let Some(t) = &mut self.core.ptrace {
-            t.record(PacketEvent {
-                at: self.core.now,
-                kind: PacketEventKind::Sent { node: src },
-                src: pkt.src,
-                dst: pkt.dst,
-                flow: pkt.flow,
-                size: pkt.size,
-            });
-        }
-        if self.core.monitors_on {
-            self.core.emit(MonitorEvent::Injected {
-                node: src,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                size: pkt.size,
-            });
-        }
-        self.core.forward(src, pkt);
+        self.core.inject(src, pkt);
     }
 
     /// Current simulated time.
@@ -840,11 +786,6 @@ impl<P: Payload> Simulator<P> {
         q.stats()
     }
 
-    /// Starts recording (time, length) samples on a channel's queue.
-    pub fn enable_queue_recording(&mut self, ch: ChannelId) {
-        self.core.channels[ch.index()].queue.enable_recording();
-    }
-
     /// Fault injection: deterministically drop the packets whose 0-based
     /// arrival index at channel `ch` is in `indices`. See
     /// [`crate::queue::DropTailQueue::inject_drops`].
@@ -867,6 +808,16 @@ impl<P: Payload> Simulator<P> {
     pub fn attach_monitor(&mut self, monitor: Box<dyn InvariantMonitor>) {
         self.core.monitors.push(monitor);
         self.core.monitors_on = true;
+    }
+
+    /// The first attached monitor of concrete type `T`, if any: how a
+    /// recording observer such as [`crate::trace::PacketTrace`] is read
+    /// back.
+    pub fn monitor<T: InvariantMonitor>(&self) -> Option<&T> {
+        self.core
+            .monitors
+            .iter()
+            .find_map(|m| (m.as_ref() as &dyn Any).downcast_ref::<T>())
     }
 
     /// Whether any invariant monitor is attached.
@@ -909,24 +860,6 @@ impl<P: Payload> Simulator<P> {
     /// dropped + in_flight`).
     pub fn audit_stats(&self) -> AuditStats {
         self.core.audit()
-    }
-
-    /// Starts recording a packet-event trace (sends, deliveries, drops),
-    /// keeping at most `cap` events.
-    pub fn enable_packet_trace(&mut self, cap: usize) {
-        if self.core.ptrace.is_none() {
-            self.core.ptrace = Some(PacketTrace::new(cap));
-        }
-    }
-
-    /// The packet-event trace, if enabled.
-    pub fn packet_trace(&self) -> Option<&PacketTrace> {
-        self.core.ptrace.as_ref()
-    }
-
-    /// The recorded queue-length series of a channel, if enabled.
-    pub fn queue_samples(&self, ch: ChannelId) -> Option<&[QueueSample]> {
-        self.core.channels[ch.index()].queue.samples()
     }
 
     /// Borrows the agent at `node`, downcast to its concrete type.

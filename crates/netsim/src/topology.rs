@@ -459,9 +459,6 @@ mod tests {
     fn fat_tree_downlinks_carry_inbound_traffic() {
         let mut sim = Simulator::new();
         let net = fat_tree(&mut sim, 4, spec(), sink);
-        for &ch in &net.host_downlinks {
-            sim.enable_queue_recording(ch);
-        }
         let dst = net.hosts[5];
         let src = net.hosts[12]; // cross-pod source
         sim.inject(src, Packet::new(src, dst, FlowId(1), 1000, TagPayload(0)));

@@ -1,6 +1,12 @@
 //! Time-series helpers for experiment output: throughput meters,
 //! fixed-width binning, and the packet-event trace.
+//!
+//! [`PacketTrace`] is an observer on the monitor stream (see
+//! [`crate::monitor`]): it turns `Injected`/`Delivered`/`Dropped`
+//! events into [`PacketEvent`] records, so the engine has no recording
+//! path of its own.
 
+use crate::monitor::{InvariantMonitor, MonitorEvent};
 use crate::packet::{ChannelId, FlowId, NodeId};
 use crate::time::{Dur, SimTime};
 
@@ -41,9 +47,24 @@ pub struct PacketEvent {
     pub size: u32,
 }
 
-/// A bounded in-memory packet-event recorder (pcap-style, without
-/// payloads). Enabled per simulator via
-/// [`Simulator::enable_packet_trace`](crate::sim::Simulator::enable_packet_trace).
+/// A bounded in-memory packet-event log (pcap-style, without
+/// payloads): sends, deliveries and drops.
+///
+/// Attach it like any monitor and read it back by type:
+///
+/// ```
+/// use netsim::prelude::*;
+///
+/// let mut sim: Simulator<TagPayload> = Simulator::new();
+/// let a = sim.add_host(Box::new(SinkAgent::default()));
+/// let b = sim.add_host(Box::new(SinkAgent::default()));
+/// sim.connect(a, b, Bandwidth::gbps(1), Dur::from_micros(5), QueueConfig::default());
+/// sim.attach_monitor(Box::new(PacketTrace::new(100)));
+/// sim.inject(a, Packet::new(a, b, FlowId(1), 1000, TagPayload(0)));
+/// sim.run();
+/// let trace = sim.monitor::<PacketTrace>().expect("attached");
+/// assert_eq!(trace.events().len(), 2); // sent, delivered
+/// ```
 #[derive(Clone, Debug)]
 pub struct PacketTrace {
     events: Vec<PacketEvent>,
@@ -52,19 +73,12 @@ pub struct PacketTrace {
 }
 
 impl PacketTrace {
-    pub(crate) fn new(cap: usize) -> Self {
+    /// An empty trace that keeps at most `cap` events.
+    pub fn new(cap: usize) -> Self {
         PacketTrace {
             events: Vec::new(),
             cap,
             dropped_events: 0,
-        }
-    }
-
-    pub(crate) fn record(&mut self, ev: PacketEvent) {
-        if self.events.len() < self.cap {
-            self.events.push(ev);
-        } else {
-            self.dropped_events += 1;
         }
     }
 
@@ -98,6 +112,54 @@ impl PacketTrace {
             .filter(|e| e.flow == flow && kind_filter(&e.kind))
             .copied()
             .collect()
+    }
+}
+
+impl InvariantMonitor for PacketTrace {
+    fn name(&self) -> &'static str {
+        "packet-trace"
+    }
+
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+        let (kind, src, dst, flow, size) = match *ev {
+            MonitorEvent::Injected {
+                node,
+                src,
+                dst,
+                flow,
+                size,
+                ..
+            } => (PacketEventKind::Sent { node }, src, dst, flow, size),
+            MonitorEvent::Delivered {
+                node,
+                src,
+                dst,
+                flow,
+                size,
+                ..
+            } => (PacketEventKind::Delivered { node }, src, dst, flow, size),
+            MonitorEvent::Dropped {
+                channel,
+                src,
+                dst,
+                flow,
+                size,
+                ..
+            } => (PacketEventKind::Dropped { channel }, src, dst, flow, size),
+            _ => return,
+        };
+        if self.events.len() < self.cap {
+            self.events.push(PacketEvent {
+                at,
+                kind,
+                src,
+                dst,
+                flow,
+                size,
+            });
+        } else {
+            self.dropped_events += 1;
+        }
     }
 }
 

@@ -132,7 +132,6 @@ pub(crate) struct ColdConn {
     pub(crate) completed: Vec<TrainRecord>,
 
     stats: ConnStats,
-    cwnd_series: Option<Series>,
 }
 
 /// Builds the split state for a new connection sending to `dst` with
@@ -176,7 +175,6 @@ pub(crate) fn new_conn(
         next_train_id: 0,
         completed: Vec::new(),
         stats: ConnStats::default(),
-        cwnd_series: None,
     });
     (hot, cold)
 }
@@ -236,11 +234,6 @@ impl<'a> ConnRef<'a> {
     pub fn flight(&self) -> u64 {
         self.hot.next_seq - self.hot.high_ack
     }
-
-    /// The recorded window series, if enabled.
-    pub fn cwnd_series(self) -> Option<&'a Series> {
-        self.cold.cwnd_series.as_ref()
-    }
 }
 
 /// Mutable working view over one connection's split state: the whole
@@ -268,21 +261,9 @@ impl ConnCore<'_> {
         }
     }
 
-    /// Starts recording a `(time, cwnd)` point at every window change.
-    pub(crate) fn enable_cwnd_recording(&mut self) {
-        if self.cold.cwnd_series.is_none() {
-            self.cold.cwnd_series = Some(Series::new());
-        }
-    }
-
-    fn record_cwnd(&mut self, now: SimTime) {
-        if let Some(s) = &mut self.cold.cwnd_series {
-            s.push(now, self.hot.win.cwnd);
-        }
-    }
-
-    /// Reports the current window to any attached invariant monitors
-    /// (`cwnd-range` checks it stays within `[min_cwnd, max_cwnd]`).
+    /// Reports the current window to any attached monitors: `cwnd-range`
+    /// checks it stays within `[min_cwnd, max_cwnd]`, and window traces
+    /// (Fig. 4/6) are rebuilt from these events.
     fn emit_cwnd(&self, ctx: &mut Ctx<'_, Segment>) {
         let (flow, win) = (self.cold.flow, &self.hot.win);
         ctx.emit_monitor_with(|| MonitorEvent::CwndUpdate {
@@ -391,7 +372,6 @@ impl ConnCore<'_> {
                             timer,
                         });
                         self.emit_probe(ctx, ProbeTransition::Start);
-                        self.record_cwnd(ctx.now());
                         self.emit_cwnd(ctx);
                         continue; // window changed; re-evaluate
                     }
@@ -608,7 +588,6 @@ impl ConnCore<'_> {
                 self.emit_probe(ctx, ProbeTransition::Resolve);
             }
         }
-        self.record_cwnd(now);
         self.emit_cwnd(ctx);
         self.try_send(ctx);
     }
@@ -693,7 +672,6 @@ impl ConnCore<'_> {
         self.hot.backoff = (self.hot.backoff * 2).min(64);
         // Go-back-N: resume from the last cumulative ACK.
         self.hot.next_seq = self.hot.high_ack;
-        self.record_cwnd(now);
         self.emit_cwnd(ctx);
         self.try_send(ctx);
         if self.hot.rto_timer.is_none() && self.flight() > 0 {
@@ -706,7 +684,6 @@ impl ConnCore<'_> {
         if self.cold.probe.take().is_some() {
             self.emit_probe(ctx, ProbeTransition::Timeout);
             self.cold.cc.on_probe_deadline(&mut self.hot.win);
-            self.record_cwnd(ctx.now());
             self.emit_cwnd(ctx);
             self.try_send(ctx);
         }

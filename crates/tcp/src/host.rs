@@ -272,16 +272,6 @@ impl TcpHost {
         self.flows.get(idx)
     }
 
-    /// Mutably adjusts a sending connection by dense flow id (e.g. to
-    /// enable window recording before the run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not a live sender.
-    pub fn connection_mut(&mut self, idx: usize) -> ConnMut<'_> {
-        ConnMut { host: self, idx }
-    }
-
     /// Read-only views of all live sending connections, ascending by id.
     pub fn connections(&self) -> impl Iterator<Item = ConnRef<'_>> {
         self.flows.iter()
@@ -336,20 +326,6 @@ impl TcpHost {
     /// The receiver serving `flow`, if any.
     pub fn receiver_for_flow(&self, flow: FlowId) -> Option<&Receiver> {
         self.recv_by_flow.get(&flow.0).map(|&i| &self.receivers[i])
-    }
-}
-
-/// Mutable handle to one sending connection, for pre-run configuration.
-#[derive(Debug)]
-pub struct ConnMut<'a> {
-    host: &'a mut TcpHost,
-    idx: usize,
-}
-
-impl ConnMut<'_> {
-    /// Starts recording a `(time, cwnd)` point at every window change.
-    pub fn enable_cwnd_recording(&mut self) {
-        self.host.flows.get_mut(self.idx).enable_cwnd_recording();
     }
 }
 

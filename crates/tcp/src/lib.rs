@@ -34,7 +34,7 @@ mod slab;
 pub use cc::{AckInfo, CcAlgo, CcKind, PreSendAction, WindowState};
 pub use config::TcpConfig;
 pub use conn::{ConnRef, ConnStats, TrainRecord};
-pub use host::{ConnMut, TcpHost};
+pub use host::TcpHost;
 pub use receiver::{Receiver, ReceiverStats};
 pub use segment::{SegKind, Segment};
 pub use slab::SlabAudit;

@@ -4,6 +4,10 @@
 //! N web servers sending packet trains to one front-end across a single
 //! switch — into a runnable [`Scenario`] with per-train completion
 //! records, per-connection statistics, and bottleneck-queue measurements.
+//! The opt-in window traces ([`ScenarioBuilder::record_cwnd`]) and queue
+//! series ([`ScenarioBuilder::record_queue`]) come from one private
+//! observer on the simulator's monitor stream: it rebuilds them from
+//! `CwndUpdate` and the bottleneck's `Enqueued`/`Dequeued` events.
 //! For other topologies, [`wire_flow`] and [`schedule_train`] wire TCP
 //! connections over any `netsim` topology built with empty
 //! [`TcpHost`] agents.
@@ -11,6 +15,7 @@
 use netsim::prelude::*;
 use netsim::time::SimTime;
 use netsim::topology::{self, LinkSpec, ManyToOne};
+use netsim::QueueSample;
 use trim_tcp::conn::TrainRecord;
 use trim_tcp::{CcKind, ConnStats, Segment, TcpConfig, TcpHost};
 
@@ -89,6 +94,59 @@ pub fn schedule_session(
 ) {
     sim.host_mut::<TcpHost>(src)
         .schedule_response_sequence(sender_idx, start, sizes, think);
+}
+
+/// Rebuilds a scenario's opt-in series from the monitor stream: each
+/// sender's congestion window (flow `i` is sender `i`) and the
+/// bottleneck's `(time, length)` samples, starting from `(0, 0)`.
+#[derive(Debug)]
+struct Recorder {
+    cwnd: Option<Vec<Series>>,
+    queue: Option<(ChannelId, Vec<QueueSample>)>,
+}
+
+impl Recorder {
+    /// Records the windows of flows `0..senders` and the samples of
+    /// channel `queue`, each when given.
+    fn new(senders: Option<usize>, queue: Option<ChannelId>) -> Self {
+        let start = QueueSample {
+            at: SimTime::ZERO,
+            len: 0,
+        };
+        Recorder {
+            cwnd: senders.map(|n| vec![Series::new(); n]),
+            queue: queue.map(|ch| (ch, vec![start])),
+        }
+    }
+}
+
+impl InvariantMonitor for Recorder {
+    fn name(&self) -> &'static str {
+        "scenario-recorder"
+    }
+
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+        match *ev {
+            MonitorEvent::CwndUpdate { flow, cwnd, .. } => {
+                let series = self.cwnd.as_mut().and_then(|s| s.get_mut(flow.0 as usize));
+                if let Some(series) = series {
+                    series.push(at, cwnd);
+                }
+            }
+            MonitorEvent::Enqueued {
+                channel, len_after, ..
+            }
+            | MonitorEvent::Dequeued {
+                channel, len_after, ..
+            } => match &mut self.queue {
+                Some((ch, samples)) if *ch == channel => {
+                    samples.push(QueueSample { at, len: len_after });
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }
 }
 
 /// Builder for the many-to-one scenario (Sections II.B and IV.A/B).
@@ -227,19 +285,17 @@ impl ScenarioBuilder {
             let flow = FlowId(i as u64);
             let idx = wire_flow(&mut sim, flow, s, net.front_end, self.tcp, &self.cc);
             debug_assert_eq!(idx, 0, "one sender per host");
-            if self.record_cwnd {
-                sim.host_mut::<TcpHost>(s)
-                    .connection_mut(0)
-                    .enable_cwnd_recording();
-            }
             if let Some(bin) = self.throughput_bin {
                 sim.host_mut::<TcpHost>(net.front_end)
                     .receiver_mut(i)
                     .enable_throughput_meter(bin);
             }
         }
-        if self.record_queue {
-            sim.enable_queue_recording(net.bottleneck);
+        if self.record_cwnd || self.record_queue {
+            sim.attach_monitor(Box::new(Recorder::new(
+                self.record_cwnd.then_some(self.senders),
+                self.record_queue.then_some(net.bottleneck),
+            )));
         }
         // Runtime invariant monitors, per the TRIM_CHECK_MONITORS policy
         // (default: on in debug builds, off in release). Observe-only, so
@@ -332,10 +388,8 @@ impl Scenario {
     /// a caller can pair the report with `sim_mut().violations()`.
     pub fn report_unchecked(&mut self) -> Report {
         let bottleneck = self.sim.queue_stats(self.net.bottleneck);
-        let queue_series = self
-            .sim
-            .queue_samples(self.net.bottleneck)
-            .map(|s| s.to_vec());
+        let recorder = self.sim.monitor::<Recorder>();
+        let queue_series = recorder.and_then(|r| r.queue.as_ref().map(|(_, s)| s.clone()));
         let mut senders = Vec::new();
         for (i, &node) in self.net.senders.iter().enumerate() {
             let host: &TcpHost = self.sim.host(node);
@@ -348,7 +402,7 @@ impl Scenario {
                 trains: conn.completed_trains().to_vec(),
                 stats: conn.stats(),
                 unfinished: !conn.is_idle(),
-                cwnd: conn.cwnd_series().cloned(),
+                cwnd: recorder.and_then(|r| r.cwnd.as_ref().map(|s| s[i].clone())),
                 goodput_bytes: fe.receiver(i).goodput_bytes(),
                 throughput: meter,
             });
@@ -466,6 +520,51 @@ mod tests {
         let m = report.senders[0].throughput.as_ref().unwrap();
         assert_eq!(m.total_bytes(), report.senders[0].goodput_bytes);
         assert!(report.bottleneck.enqueued > 0);
+    }
+
+    /// The queue series the recorder rebuilds on a CoDel bottleneck:
+    /// 40 senders land one packet each on it at the same instant, and
+    /// CoDel drops part of that standing queue while it drains.
+    #[test]
+    fn recorder_rebuilds_the_bottleneck_queue_series() {
+        let codel = CoDelConfig {
+            target: Dur::from_micros(10),
+            interval: Dur::from_micros(50),
+            ecn: false,
+        };
+        let queue = QueueConfig::drop_tail(100).with_codel(codel);
+        let link = LinkSpec::new(Bandwidth::gbps(1), Dur::from_micros(5), queue);
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        let net = topology::many_to_one(&mut sim, 40, link, |_| Box::new(SinkAgent::default()));
+        sim.attach_monitor(Box::new(Recorder::new(None, Some(net.bottleneck))));
+        for (i, &s) in net.senders.iter().enumerate() {
+            let pkt = Packet::new(s, net.front_end, FlowId(i as u64), 1460, TagPayload(0));
+            sim.inject(s, pkt);
+        }
+        // Stop mid-drain, while the bottleneck still holds packets; it is
+        // the only queue that ever holds one.
+        sim.run_until(SimTime::from_nanos(250_000));
+        let stats = sim.queue_stats(net.bottleneck);
+        assert!(stats.dropped > 0, "CoDel dropped from the standing queue");
+        let queued = sim.audit_stats().queued_pkts as usize;
+        assert!(queued > 0, "horizon chosen mid-drain");
+
+        let rec = sim.monitor::<Recorder>().expect("attached");
+        let (_, s) = rec.queue.as_ref().expect("queue recorded");
+        let first = QueueSample {
+            at: SimTime::ZERO,
+            len: 0,
+        };
+        assert_eq!(s[0], first);
+        // The first packet finds the link idle: it enters and leaves the
+        // queue at the same instant.
+        assert_eq!((s[1].len, s[2].len), (1, 0));
+        assert_eq!(s[1].at, s[2].at);
+        assert!(s[1].at > SimTime::ZERO);
+        let largest = s.iter().map(|q| q.len).max();
+        assert_eq!(largest, Some(stats.max_len));
+        assert_eq!(s.last().map(|q| q.len), Some(queued));
+        assert_eq!(s.len() as u64, 1 + stats.enqueued + stats.dequeued);
     }
 
     #[test]

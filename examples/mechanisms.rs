@@ -27,7 +27,7 @@ fn transfer(cfg: TcpConfig, label: &str) {
     );
     // Five scattered losses in one flight.
     sim.inject_channel_drops(data_ch, [6, 11, 16, 21, 26]);
-    sim.enable_packet_trace(10_000);
+    sim.attach_monitor(Box::new(PacketTrace::new(10_000)));
     sim.run_until(SimTime::from_secs(5));
 
     let host: &TcpHost = sim.host(tx_node);
@@ -35,8 +35,8 @@ fn transfer(cfg: TcpConfig, label: &str) {
     let stats = conn.stats();
     let ct = conn.completed_trains()[0].completion_time();
     let drops = sim
-        .packet_trace()
-        .expect("enabled")
+        .monitor::<PacketTrace>()
+        .expect("attached")
         .events()
         .iter()
         .filter(|e| matches!(e.kind, PacketEventKind::Dropped { .. }))

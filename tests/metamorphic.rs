@@ -4,12 +4,18 @@
 
 use netsim::topology::LinkSpec;
 use tcp_trim::prelude::*;
+use tcp_trim::workload::scenario::{Report, Scenario};
+
+/// Runs `sc` for `secs` and digests its report, which asserts that every
+/// attached monitor stayed clean.
+fn run_digest(mut sc: Scenario, secs: f64) -> String {
+    digest(&sc.run_for_secs(secs))
+}
 
 /// A digest of everything a run produced that a perturbation could
 /// plausibly disturb: completion times, retransmission behavior, and
 /// bottleneck-queue history.
-fn run_digest(mut sc: tcp_trim::workload::scenario::Scenario, secs: f64) -> String {
-    let report = sc.run_for_secs(secs);
+fn digest(report: &Report) -> String {
     format!(
         "ct={:?} timeouts={} queue={:?}",
         report.completion_times(),
@@ -18,16 +24,47 @@ fn run_digest(mut sc: tcp_trim::workload::scenario::Scenario, secs: f64) -> Stri
     )
 }
 
-fn incast(senders: usize, trim: bool) -> tcp_trim::workload::scenario::Scenario {
+fn incast(senders: usize, trim: bool) -> Scenario {
     let mut b = ScenarioBuilder::many_to_one(senders);
     if trim {
         b = b.trim();
     }
+    incast_on(b, senders)
+}
+
+/// Builds `b` and schedules one 250 KB train on each of its `senders`.
+fn incast_on(b: ScenarioBuilder, senders: usize) -> Scenario {
     let mut sc = b.build();
     for s in 0..senders {
         sc.send_train(s, TrainSpec::at_secs(0.001, 250_000));
     }
     sc
+}
+
+/// [`incast_on`] with every observer attached on top of whatever the
+/// build profile already attached: the scenario's window/queue recorder
+/// (through the builder), the standard monitors, and the packet trace.
+fn observed_incast_on(b: ScenarioBuilder, senders: usize) -> Scenario {
+    let mut sc = incast_on(b.record_cwnd().record_queue(), senders);
+    trim_check::attach_standard(sc.sim_mut());
+    sc.sim_mut()
+        .attach_monitor(Box::new(PacketTrace::new(1_000_000)));
+    sc
+}
+
+/// [`run_digest_unchecked`] for an [`observed_incast_on`] scenario, after
+/// checking that every observer really recorded the run.
+fn observed_digest(sc: &mut Scenario, secs: f64) -> String {
+    sc.sim_mut().run_until(SimTime::from_secs_f64(secs));
+    let report = sc.report_unchecked();
+    let trace = sc.sim_mut().monitor::<PacketTrace>().expect("attached");
+    assert!(!trace.events().is_empty() && !trace.is_truncated());
+    assert!(report.queue_series.as_ref().is_some_and(|q| q.len() > 1));
+    assert!(report
+        .senders
+        .iter()
+        .all(|s| s.cwnd.as_ref().is_some_and(|c| !c.is_empty())));
+    digest(&report)
 }
 
 /// Same seed, same topology, same schedule: the simulation is a pure
@@ -43,17 +80,17 @@ fn same_inputs_reproduce_identical_runs_across_topologies() {
     }
 }
 
-/// Monitoring is strictly observe-only: attaching the full standard
-/// monitor set (on top of whatever the build profile already attached)
-/// leaves every measurable output bit-identical.
+/// Observation is strictly observe-only: attaching every observer — the
+/// standard monitors, the packet trace and the scenario recorder — to a
+/// drop-tail incast leaves every measurable output bit-identical.
 #[test]
 fn attached_monitors_never_perturb_the_simulation() {
-    let baseline = run_digest(incast(8, true), 5.0);
-    let mut sc = incast(8, true);
-    trim_check::attach_standard(sc.sim_mut());
-    assert!(sc.sim_mut().monitors_enabled());
-    let monitored = run_digest(sc, 5.0);
-    assert_eq!(baseline, monitored, "monitors perturbed the event stream");
+    let b = ScenarioBuilder::many_to_one(8).trim();
+    let baseline = run_digest(incast_on(b.clone(), 8), 5.0);
+    let mut sc = observed_incast_on(b, 8);
+    let monitored = observed_digest(&mut sc, 5.0);
+    sc.sim_mut().assert_no_violations();
+    assert_eq!(baseline, monitored, "observers perturbed the event stream");
 }
 
 /// Scaling bandwidth up and propagation delay down by the same factor
@@ -102,33 +139,27 @@ fn bandwidth_delay_rescaling_contracts_completion_times() {
 /// An incast over an explicit bottleneck queue configuration, same
 /// link rate/delay/schedule as [`incast`] but with Reno senders so the
 /// AQM drop paths are actually exercised.
-fn aqm_incast(senders: usize, queue: QueueConfig) -> tcp_trim::workload::scenario::Scenario {
+fn aqm_incast(senders: usize, queue: QueueConfig) -> Scenario {
+    incast_on(aqm_builder(senders, queue), senders)
+}
+
+fn aqm_builder(senders: usize, queue: QueueConfig) -> ScenarioBuilder {
     let link = LinkSpec::new(Bandwidth::gbps(1), Dur::from_micros(50), queue);
-    let mut sc = ScenarioBuilder::many_to_one(senders).links(link).build();
-    for s in 0..senders {
-        sc.send_train(s, TrainSpec::at_secs(0.001, 250_000));
-    }
-    sc
+    ScenarioBuilder::many_to_one(senders).links(link)
 }
 
 /// [`run_digest`] without the no-violations assertion, for runs where
 /// the stability oracles are *expected* to report (a tiny-buffer Reno
 /// incast oscillates by design — that is data, not a bug).
-fn run_digest_unchecked(mut sc: tcp_trim::workload::scenario::Scenario, secs: f64) -> String {
+fn run_digest_unchecked(mut sc: Scenario, secs: f64) -> String {
     sc.sim_mut().run_until(SimTime::from_secs_f64(secs));
-    let report = sc.report_unchecked();
-    format!(
-        "ct={:?} timeouts={} queue={:?}",
-        report.completion_times(),
-        report.total_timeouts(),
-        report.bottleneck
-    )
+    digest(&sc.report_unchecked())
 }
 
 /// Observe-only monitoring extends to the AQM disciplines: attaching
-/// the full standard set *plus* the stability oracle family on top of a
-/// RED or CoDel bottleneck leaves every measurable output — including
-/// the early-drop and sojourn-drop counters — bit-identical.
+/// every observer *plus* the stability oracle family on top of a RED or
+/// CoDel bottleneck leaves every measurable output — including the
+/// early-drop and sojourn-drop counters — bit-identical.
 #[test]
 fn attached_monitors_never_perturb_aqm_simulations() {
     let red = QueueConfig::drop_tail(16).with_red(RedConfig {
@@ -139,13 +170,11 @@ fn attached_monitors_never_perturb_aqm_simulations() {
     let codel = QueueConfig::drop_tail(16).with_codel(CoDelConfig::datacenter());
     for queue in [red, codel] {
         let baseline = run_digest_unchecked(aqm_incast(8, queue), 5.0);
-        let mut sc = aqm_incast(8, queue);
-        trim_check::attach_standard(sc.sim_mut());
+        let mut sc = observed_incast_on(aqm_builder(8, queue), 8);
         for m in trim_check::stability_monitors(trim_check::StabilityConfig::default()) {
             sc.sim_mut().attach_monitor(m);
         }
-        assert!(sc.sim_mut().monitors_enabled());
-        let monitored = run_digest_unchecked(sc, 5.0);
+        let monitored = observed_digest(&mut sc, 5.0);
         assert_eq!(
             baseline, monitored,
             "monitors perturbed the AQM event stream ({queue:?})"

@@ -16,12 +16,13 @@ fn extracted_trains_match_the_application_schedule() {
     for (i, &bytes) in sizes.iter().enumerate() {
         sc.send_train(0, TrainSpec::at_secs(0.01 + i as f64 * 0.005, bytes));
     }
-    sc.sim_mut().enable_packet_trace(100_000);
+    sc.sim_mut()
+        .attach_monitor(Box::new(PacketTrace::new(100_000)));
     let report = sc.run_for_secs(1.0);
     assert_eq!(report.completed_trains(), sizes.len());
     assert_eq!(report.total_timeouts(), 0, "clean network");
 
-    let trace = sc.sim_mut().packet_trace().cloned().expect("enabled");
+    let trace = sc.sim_mut().monitor::<PacketTrace>().expect("attached");
     assert!(!trace.is_truncated());
     assert_eq!(trace.dropped_events(), 0, "capacity 100k was never hit");
     // Data packets are MSS-sized; ACKs (40 B) are filtered out.
@@ -52,9 +53,12 @@ fn trace_overflow_counts_every_dropped_event() {
         let mut sc = ScenarioBuilder::many_to_one(2).build();
         sc.send_train(0, TrainSpec::at_secs(0.001, 100_000));
         sc.send_train(1, TrainSpec::at_secs(0.001, 100_000));
-        sc.sim_mut().enable_packet_trace(cap);
+        sc.sim_mut().attach_monitor(Box::new(PacketTrace::new(cap)));
         sc.run_for_secs(1.0);
-        sc.sim_mut().packet_trace().cloned().expect("enabled")
+        sc.sim_mut()
+            .monitor::<PacketTrace>()
+            .cloned()
+            .expect("attached")
     };
     let full = run(1_000_000);
     assert!(!full.is_truncated());
@@ -72,21 +76,34 @@ fn trace_overflow_counts_every_dropped_event() {
     );
 }
 
+/// On an untruncated trace every packet the engine accounted for shows
+/// up exactly once per outcome: the trace's sends, deliveries and drops
+/// equal the engine's own audit counters, and its drops equal the
+/// bottleneck's (the only queue that overflows).
 #[test]
 fn drops_show_up_in_the_packet_trace() {
-    use netsim::PacketEventKind;
     let mut sc = ScenarioBuilder::many_to_one(8).build(); // Reno
     for s in 0..8 {
         sc.send_train(s, TrainSpec::at_secs(0.001, 300_000));
     }
-    sc.sim_mut().enable_packet_trace(2_000_000);
+    sc.sim_mut()
+        .attach_monitor(Box::new(PacketTrace::new(2_000_000)));
     let report = sc.run_for_secs(5.0);
-    let trace = sc.sim_mut().packet_trace().cloned().expect("enabled");
-    let dropped = trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, PacketEventKind::Dropped { .. }))
-        .count() as u64;
+    let audit = sc.sim_mut().audit_stats();
+    let trace = sc.sim_mut().monitor::<PacketTrace>().expect("attached");
+    assert!(!trace.is_truncated());
+    let count = |kind: fn(&PacketEventKind) -> bool| {
+        trace.events().iter().filter(|e| kind(&e.kind)).count() as u64
+    };
+    let sent = count(|k| matches!(k, PacketEventKind::Sent { .. }));
+    let delivered = count(|k| matches!(k, PacketEventKind::Delivered { .. }));
+    let dropped = count(|k| matches!(k, PacketEventKind::Dropped { .. }));
+    assert_eq!(sent, audit.injected, "trace and engine agree on sends");
+    assert_eq!(
+        delivered, audit.delivered,
+        "trace and engine agree on deliveries"
+    );
+    assert_eq!(dropped, audit.dropped, "trace and engine agree on drops");
     assert_eq!(
         dropped, report.bottleneck.dropped,
         "trace and queue stats agree on losses"
