@@ -18,7 +18,7 @@
 //!   regimes, the packet simulation's measured cwnd behavior is checked
 //!   against the mean-field predicate
 //!   ([`trim_core::fluid::red_stability`]) by the
-//!   [`RedStability`](trim_check::RedStability) monitor; the table
+//!   [`RedStability`] monitor; the table
 //!   records both verdicts and whether they agree.
 //!
 //! The grid is effort-independent: tiny buffers make every cell cheap,
@@ -534,11 +534,6 @@ pub fn campaign(_effort: Effort) -> Campaign {
         ]
     });
     c
-}
-
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
 }
 
 #[cfg(test)]

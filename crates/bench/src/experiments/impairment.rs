@@ -183,11 +183,6 @@ pub fn campaign(_effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +224,7 @@ mod tests {
 
     #[test]
     fn campaign_reduces_to_summary_and_per_protocol_tables() {
-        let tables = run(Effort::Quick);
+        let tables = crate::execute_quiet(campaign(Effort::Quick));
         assert_eq!(tables.len(), 5, "summary + 2x(detail, throughput)");
         assert_eq!(tables[0].len(), 2, "one summary row per protocol");
     }

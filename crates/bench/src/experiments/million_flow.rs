@@ -127,11 +127,6 @@ pub fn campaign(effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -307,11 +307,6 @@ pub fn campaign_meanfield(_effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the small serving experiment and returns its tables.
-pub fn run_slo(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,15 +3,14 @@
 //! One module per table/figure of the paper's evaluation (Section IV),
 //! each regenerating the corresponding result on the `netsim` + `trim-tcp`
 //! stack. Every experiment describes its sweep as a `trim-harness`
-//! [`Campaign`]: independent seeded jobs executed on a work-stealing
-//! pool, with per-job CSV artifacts, resume, and a run manifest under
-//! `results/`.
+//! [`Campaign`](trim_harness::Campaign): independent seeded jobs
+//! executed on a work-stealing pool, with per-job CSV artifacts, resume,
+//! and a run manifest under `results/`.
 //!
-//! Run everything with the unified CLI (`cargo run --release --bin
-//! trim-bench -- --only trace,kmodel --jobs 4`), or a single experiment
-//! with its dedicated binary (`--bin exp_impairment`). Pass `--full`
-//! for paper-scale parameters; the default "quick" effort uses smaller
-//! sweeps so the whole suite finishes in minutes.
+//! Experiments run through the one campaign CLI (`cargo run --release
+//! --bin trim-bench -- --only trace,kmodel --jobs 4`). Pass `--full` for
+//! paper-scale parameters; the default "quick" effort uses smaller sweeps
+//! so the whole suite finishes in minutes.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -21,9 +20,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::path::PathBuf;
-
-use trim_harness::{engine, Campaign, CliArgs, ExecConfig};
+use trim_harness::{engine, CliArgs, ExecConfig};
 
 pub mod experiments;
 pub mod registry;
@@ -31,18 +28,12 @@ pub mod registry;
 pub use trim_harness::table;
 pub use trim_harness::{Effort, Table};
 
-/// Directory where experiment CSVs are written.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from("results")
-}
-
-/// Executes a campaign with default settings (all cores, resume
-/// enabled, `results/`, no progress output) and returns its reduce
-/// tables. The `run(effort)` entry point of every experiment delegates
-/// here, so tests and legacy callers keep their one-call interface.
-pub(crate) fn execute_quiet(campaign: Campaign) -> Vec<Table> {
+/// Executes a campaign into `results/` (all cores, resume enabled, no
+/// progress output) and returns its reduce tables: the one-call runner
+/// of the experiment modules' unit tests.
+#[cfg(test)]
+pub(crate) fn execute_quiet(campaign: trim_harness::Campaign) -> Vec<Table> {
     let cfg = ExecConfig {
-        results_dir: results_dir(),
         quiet: true,
         ..ExecConfig::default()
     };
@@ -52,7 +43,7 @@ pub(crate) fn execute_quiet(campaign: Campaign) -> Vec<Table> {
 }
 
 /// Drives a selection of experiments from parsed CLI options: the
-/// shared `main` of `trim-bench`, `run_all`, and the `exp_*` binaries.
+/// `main` of `trim-bench`.
 ///
 /// # Errors
 ///
@@ -98,24 +89,6 @@ pub fn drive(args: &CliArgs) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// The `main` of a single-experiment binary: strict CLI parsing
-/// restricted to this experiment, then [`drive`].
-pub fn single_experiment_main(id: &str) {
-    let program = format!("exp_{id}");
-    let mut args = trim_harness::cli::parse_env_or_exit(&program, &[id]);
-    if let Some(only) = &args.only {
-        if only.iter().any(|o| o != id) {
-            eprintln!("{program}: this binary only runs '{id}' (use trim-bench --only for others)");
-            std::process::exit(2);
-        }
-    }
-    args.only = Some(vec![id.to_string()]);
-    if let Err(msg) = drive(&args) {
-        eprintln!("{program}: {msg}");
-        std::process::exit(1);
-    }
 }
 
 /// Runs `f` over `items` on worker threads, preserving input order.

@@ -4,9 +4,9 @@
 //! Generates randomized many-to-one scenarios ([`gen`]) from a
 //! serializable [`ScenarioSpec`], runs each under the full `trim-check`
 //! monitor suite plus the post-run differential oracles ([`oracle`]),
-//! and on failure shrinks the spec to a minimal repro ([`shrink`])
+//! and on failure shrinks the spec to a minimal repro ([`shrink`](mod@shrink))
 //! written to a replayable corpus through the harness
-//! [`ResultStore`](trim_harness::ResultStore).
+//! [`ResultStore`].
 //!
 //! Everything is deterministic: a `(seed, iteration)` pair names a
 //! scenario, replaying a corpus `.spec` file re-runs it bit-for-bit,

@@ -1,5 +1,4 @@
-//! Strict command-line parsing for `trim-bench` and the per-experiment
-//! binaries.
+//! Strict command-line parsing for `trim-bench` and `trim-check`.
 //!
 //! Unlike the old `Effort::from_args` (which scanned for `--full` and
 //! silently ignored everything else, so a typo like `--ful` ran the
@@ -61,7 +60,8 @@ pub enum Parsed {
 /// # Errors
 ///
 /// Returns a message naming the offending argument on unknown flags,
-/// missing values, malformed numbers, or positional arguments.
+/// missing values, values given to valueless flags, malformed numbers,
+/// an id repeated in `--only`, or positional arguments.
 pub fn parse<I, S>(args: I) -> Result<Parsed, String>
 where
     I: IntoIterator<Item = S>,
@@ -76,6 +76,11 @@ where
             Some((f, v)) => (f, Some(v.to_string())),
             None => (arg, None),
         };
+        if let Some(v) = &inline {
+            if VALUELESS.contains(&flag) {
+                return Err(format!("{flag} takes no value (got '{v}')"));
+            }
+        }
         let mut value = |name: &str| -> Result<String, String> {
             match inline.clone() {
                 Some(v) => Ok(v),
@@ -116,6 +121,13 @@ where
                 if ids.is_empty() {
                     return Err("--only requires a comma-separated list of ids".into());
                 }
+                if let Some((_, dup)) = ids
+                    .iter()
+                    .enumerate()
+                    .find(|(i, id)| ids[..*i].contains(id))
+                {
+                    return Err(format!("--only: experiment '{dup}' is listed twice"));
+                }
                 out.only = Some(ids);
             }
             _ if flag.starts_with('-') => {
@@ -127,18 +139,14 @@ where
                 ))
             }
         }
-        // `--flag=value` with a flag that takes no value.
-        if let Some(v) = inline {
-            if matches!(
-                flag,
-                "--help" | "-h" | "--full" | "--quick" | "--force" | "--quiet" | "-q" | "--list"
-            ) {
-                return Err(format!("{flag} takes no value (got '{v}')"));
-            }
-        }
     }
     Ok(Parsed::Run(out))
 }
+
+/// Flags that take no value: `--flag=value` is an error for these.
+const VALUELESS: &[&str] = &[
+    "--help", "-h", "--full", "--quick", "--force", "--quiet", "-q", "--list",
+];
 
 /// Parses [`std::env::args`], printing help or an error and exiting as
 /// appropriate. `ids` is listed in the help text.
@@ -196,6 +204,7 @@ pub fn help(program: &str, ids: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn run(args: &[&str]) -> CliArgs {
         match parse(args.iter().copied()).unwrap() {
@@ -256,6 +265,49 @@ mod tests {
             .unwrap_err()
             .contains("takes no value"));
         assert!(parse(["--only", ""]).unwrap_err().contains("--only"));
+        assert!(parse(["--help=x"])
+            .unwrap_err()
+            .contains("--help takes no value"));
+        assert!(parse(["-h=x"]).unwrap_err().contains("-h takes no value"));
+        let dup = parse(["--only", "trace,kmodel,trace"]).unwrap_err();
+        assert!(dup.contains("--only") && dup.contains("'trace'"), "{dup}");
+    }
+
+    /// `|`-separated flags, values and garbage that the generated
+    /// argument vectors are assembled from (including the empty string).
+    const FLAGS: &str = "--help|-h|--full|--quick|--force|--quiet|-q|--list|--jobs|-j|--seed|\
+                         --results-dir|--only|--ful|-|--|";
+    const VALUES: &str = "0|8|-1|18446744073709551616|1e3|trace|kmodel|trace,kmodel|\
+                          trace,trace|,|a,,a| a , a |=|x=y||\u{e9}|--only";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn parse_never_panics_and_only_is_a_set(
+            picks in proptest::collection::vec(
+                (0..FLAGS.split('|').count(), 0..VALUES.split('|').count(), 0u8..4),
+                0..5,
+            )
+        ) {
+            let (flags, values): (Vec<&str>, Vec<&str>) =
+                (FLAGS.split('|').collect(), VALUES.split('|').collect());
+            // Each pick is a bare flag, a bare value, or (half the time)
+            // `flag=value`.
+            let args: Vec<String> = picks
+                .iter()
+                .map(|&(f, v, form)| match form {
+                    0 => flags[f].to_string(),
+                    1 => values[v].to_string(),
+                    _ => format!("{}={}", flags[f], values[v]),
+                })
+                .collect();
+            if let Ok(Parsed::Run(CliArgs { only: Some(only), .. })) = parse(&args) {
+                prop_assert!(!only.is_empty(), "{args:?}");
+                for (i, id) in only.iter().enumerate() {
+                    prop_assert!(!only[..i].contains(id), "{args:?} -> {only:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! running a single simulation, that they still agree:
 //!
 //! - **TL101** — every registered experiment id appears in an
-//!   `EXPERIMENTS.md` heading (as `exp_<id>` or the bare id).
+//!   `EXPERIMENTS.md` heading as the backticked bare id (`` `<id>` ``),
+//!   matched exactly: `` `large_scale_100k` `` does not document
+//!   `large_scale`.
 //! - **TL102** — every artifact an experiment declares exists as
 //!   `results/<name>.csv`, and conversely every committed top-level
 //!   results CSV is declared by some experiment (no orphans).
@@ -197,6 +199,29 @@ fn format_matches(template: &str, name: &str) -> bool {
     }
 }
 
+/// TL101: one diagnostic per experiment that no `EXPERIMENTS.md`
+/// heading names as its backticked bare id.
+fn undocumented(entries: &[RegistryEntry], experiments_md: &str) -> Vec<Diagnostic> {
+    let headings: Vec<&str> = experiments_md
+        .lines()
+        .filter(|l| l.starts_with('#'))
+        .collect();
+    let documented = |id: &str| headings.iter().any(|h| h.contains(&format!("`{id}`")));
+    let diag = |e: &RegistryEntry| {
+        let msg = format!(
+            "experiment `{0}` has no EXPERIMENTS.md section: add a heading naming \
+             it as `` `{0}` `` describing paper vs. measured",
+            e.id
+        );
+        art_diag("TL101", "artifact-experiment-doc", REGISTRY, e.line, msg)
+    };
+    entries
+        .iter()
+        .filter(|e| !documented(&e.id))
+        .map(diag)
+        .collect()
+}
+
 /// Runs every artifact cross-check against the workspace at `root`.
 pub fn check_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut out = Vec::new();
@@ -205,31 +230,10 @@ pub fn check_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let entries = parse_registry(&reg_src)?;
     let experiments_md = fs::read_to_string(root.join(EXPERIMENTS_MD))
         .map_err(|e| format!("cannot read {EXPERIMENTS_MD}: {e}"))?;
-    let headings: Vec<&str> = experiments_md
-        .lines()
-        .filter(|l| l.starts_with('#'))
-        .collect();
+    out.extend(undocumented(&entries, &experiments_md));
 
     let mut declared: Vec<String> = Vec::new();
     for e in &entries {
-        // TL101: a section heading must name the experiment.
-        let exp_tag = format!("exp_{}", e.id);
-        if !headings
-            .iter()
-            .any(|h| h.contains(&exp_tag) || h.contains(&format!("`{}`", e.id)))
-        {
-            out.push(art_diag(
-                "TL101",
-                "artifact-experiment-doc",
-                REGISTRY,
-                e.line,
-                format!(
-                    "experiment `{}` has no EXPERIMENTS.md section: add a heading \
-                     mentioning `{exp_tag}` (or `{}`) describing paper vs. measured",
-                    e.id, e.id
-                ),
-            ));
-        }
         // TL102 (forward): every declared artifact must be committed.
         let module_path = format!("crates/bench/src/experiments/{}.rs", e.module);
         let module_src = fs::read_to_string(root.join(&module_path)).unwrap_or_default();
@@ -414,6 +418,21 @@ pub static ALL: &[ExperimentSpec] = &[
         assert_eq!(entries[0].artifacts, ["fig1_trains", "fig2a_size_cdf"]);
         assert_eq!(entries[1].id, "large_scale_100k");
         assert_eq!(entries[1].module, "large_scale");
+    }
+
+    #[test]
+    fn tl101_matches_the_exact_backticked_id() {
+        let entry = |id: &str| RegistryEntry {
+            id: id.to_string(),
+            ..RegistryEntry::default()
+        };
+        // Neither the longer id nor a legacy `exp_<id>` binary name that
+        // starts with `exp_a` documents `a`.
+        let md = "# Doc\n## Longer id (`a_b`, was `exp_a_b`)\n";
+        let diags = undocumented(&[entry("a"), entry("a_b")], md);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, "TL101");
+        assert!(diags[0].message.contains("experiment `a` has"));
     }
 
     #[test]

@@ -113,13 +113,19 @@ struct Core<P: Payload> {
     /// `(time, seq)` a total order across both structures, so the merged
     /// stream is identical to what a single queue would produce.
     seq: u64,
-    /// Deadlines of cancelled-while-live timers. The previous engine
-    /// left cancelled timers in the queue as tombstones that still
-    /// popped (advancing the clock and `events_processed`); the wheel
-    /// removes them in place. Counting the tombstones that would have
-    /// popped keeps `events_processed` — which committed campaign
-    /// artifacts record — bit-identical across the engine swap.
+    /// Deadlines of cancelled-while-live timers not yet counted. The
+    /// previous engine left cancelled timers in the queue as tombstones
+    /// that still popped (advancing the clock and `events_processed`);
+    /// the wheel removes them in place. Counting the tombstones that
+    /// would have popped keeps `events_processed` — which committed
+    /// campaign artifacts record — bit-identical across the engine swap.
+    /// Only cancels the current run cannot cover land here: deadlines
+    /// past `run_horizon`, or cancels made outside a run.
     ghost_deadlines: Vec<SimTime>,
+    /// Horizon of the `run_until` in progress, `None` between runs. A
+    /// live cancel at or before it is a tombstone this run would have
+    /// popped, so it is counted at once instead of buffered.
+    run_horizon: Option<SimTime>,
     arena: PacketArena<P>,
     kinds: Vec<NodeKind>,
     channels: Vec<Channel<P>>,
@@ -217,8 +223,13 @@ impl<P: Payload> Core<P> {
         // A live cancel leaves the tombstone the old engine would have
         // popped; a stale cancel (fired or already cancelled) was a
         // no-op there too — the tombstone id could never pop twice.
+        // Nothing reads `events_processed` mid-run, so counting an
+        // in-horizon tombstone now rather than at its deadline is exact.
         if let Some(at) = self.wheel.cancel(id.0) {
-            self.ghost_deadlines.push(at);
+            match self.run_horizon {
+                Some(horizon) if at <= horizon => self.events_processed += 1,
+                _ => self.ghost_deadlines.push(at),
+            }
         }
     }
 
@@ -665,6 +676,7 @@ impl<P: Payload> Simulator<P> {
                 wheel: TimerWheel::new(),
                 seq: 0,
                 ghost_deadlines: Vec::new(),
+                run_horizon: None,
                 arena: PacketArena::new(),
                 kinds: Vec::new(),
                 channels: Vec::new(),
@@ -922,6 +934,7 @@ impl<P: Payload> Simulator<P> {
     /// draw sequence numbers from one global counter, so the merge is a
     /// total order identical to the single-queue engine's pop order.
     pub fn run_until(&mut self, horizon: SimTime) {
+        self.core.run_horizon = Some(horizon);
         self.ensure_ready();
         loop {
             let timer_first = match (self.core.events.peek_key(), self.core.wheel.peek_key()) {
@@ -952,7 +965,9 @@ impl<P: Payload> Simulator<P> {
             }
         }
         // The old engine popped cancelled timers as tombstones; see
-        // `Core::ghost_deadlines`. Count the ones this horizon covers.
+        // `Core::ghost_deadlines`. Count the buffered ones this horizon
+        // covers.
+        self.core.run_horizon = None;
         let mut ghost_pops = 0u64;
         self.core.ghost_deadlines.retain(|&at| {
             if at <= horizon {
@@ -1729,6 +1744,35 @@ mod tests {
         sim.run();
         assert_eq!(sim.events_processed(), 3);
         assert_eq!(sim.host::<TimerAgent>(h).fired, vec![1, 3]);
+    }
+
+    /// Arms and cancels an RTO-like timer `self.0` times from inside one
+    /// fire — the re-arm pattern of an ACK clock.
+    #[derive(Debug, Default)]
+    struct RearmAgent(u64);
+    impl Agent<TagPayload> for RearmAgent {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TagPayload>) {
+            ctx.set_timer(Dur::from_micros(1), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_, TagPayload>, _pkt: Packet<TagPayload>) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TagPayload>, _token: u64) {
+            for _ in 0..self.0 {
+                let rto = ctx.set_timer(Dur::from_millis(1), 1);
+                ctx.cancel_timer(rto);
+            }
+        }
+    }
+
+    /// In-horizon cancels are counted as they happen: 10^4 of them end
+    /// with the exact ghost count and never grow the deferred buffer.
+    #[test]
+    fn in_horizon_ghosts_are_counted_without_buffering() {
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        sim.add_host(Box::new(RearmAgent(10_000)));
+        sim.run();
+        // 1 real fire + 10^4 ghosts.
+        assert_eq!(sim.events_processed(), 10_001);
+        assert_eq!(sim.core.ghost_deadlines.capacity(), 0);
     }
 
     /// Arms `n` timers for one deadline with ascending tokens.

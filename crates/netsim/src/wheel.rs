@@ -9,7 +9,7 @@
 //! pays `O(1)` for schedule and cancel on the hot near-horizon levels and
 //! amortized `O(1)` per fired timer.
 //!
-//! Layout: [`LEVELS`] levels of [`SLOTS`] slots each. Level `l` has slot
+//! Layout: `LEVELS` levels of `SLOTS` slots each. Level `l` has slot
 //! width `2^(BASE_SHIFT + LEVEL_BITS * l)` nanoseconds, so level 0 covers
 //! ~268 µs at ~4 µs resolution and the top level covers ~3.3 days. A
 //! timer is placed at the lowest level whose window (64 slots ahead of

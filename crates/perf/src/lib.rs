@@ -7,8 +7,7 @@
 //!   churn) timed end to end, reporting events/second;
 //! - **Micro-benchmarks** — tight loops over the individual hot paths
 //!   (event schedule/pop, queue enqueue/dequeue, RTT estimator update),
-//!   reporting operations/second. The same paths also run under the
-//!   criterion shim in `benches/perfbench.rs`.
+//!   reporting operations/second.
 //!
 //! The `trim-perf` binary writes each result as a JSON baseline under
 //! `results/perf/`. Wall-clock numbers are machine-specific and live

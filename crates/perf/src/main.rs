@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! trim-perf                  # micro suite + incast 1k/10k/100k/1m + churn
-//! trim-perf --quick          # micro suite + incast 1k + churn
 //! trim-perf --smoke          # re-measure the 1k incast, compare vs the
 //!                            # committed baseline, exit 1 on >5x regression
 //! trim-perf --smoke-1m       # reduced-horizon million-flow incast vs the
@@ -32,7 +31,6 @@ use trim_workload::scale::ScaleConfig;
 struct Options {
     smoke: bool,
     smoke_1m: bool,
-    quick: bool,
     out: String,
     baseline: Option<String>,
 }
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         smoke: false,
         smoke_1m: false,
-        quick: false,
         out: "results".to_string(),
         baseline: None,
     };
@@ -50,12 +47,11 @@ fn parse_args() -> Result<Options, String> {
         match a.as_str() {
             "--smoke" => opts.smoke = true,
             "--smoke-1m" => opts.smoke_1m = true,
-            "--quick" => opts.quick = true,
             "--out" => opts.out = args.next().ok_or("--out needs a directory")?,
             "--baseline" => opts.baseline = Some(args.next().ok_or("--baseline needs a file")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: trim-perf [--smoke] [--smoke-1m] [--quick] [--out DIR] \
+                    "usage: trim-perf [--smoke] [--smoke-1m] [--out DIR] \
                      [--baseline FILE]\n\
                      Measures the event engine; writes JSON baselines under <out>/perf/."
                 );
@@ -139,19 +135,14 @@ fn full(opts: &Options) -> ExitCode {
     write("perf/micro.json".into(), micro_json(&micro));
 
     for &(name, flows) in INCAST_POINTS {
-        if opts.quick && flows > 1_000 {
-            continue;
-        }
         let r = incast_macro(name, &ScaleConfig::with_flows(flows));
         print_macro(&r);
         write(format!("perf/{name}.json"), macro_json(&r));
     }
 
-    if !opts.quick {
-        let r = incast_macro("incast_1m", &ScaleConfig::million_flow());
-        print_macro(&r);
-        write("perf/incast_1m.json".into(), macro_json(&r));
-    }
+    let r = incast_macro("incast_1m", &ScaleConfig::million_flow());
+    print_macro(&r);
+    write("perf/incast_1m.json".into(), macro_json(&r));
 
     let churn = churn_macro(200, 25, 8_000);
     print_macro(&churn);

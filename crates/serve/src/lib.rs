@@ -7,7 +7,7 @@
 //!
 //! - [`session`] — Poisson session arrivals, per-session think times and
 //!   request-size draws, all deterministic in the seed;
-//! - [`run`] — the packet-level serving run: sessions ride persistent
+//! - [`run`](mod@run) — the packet-level serving run: sessions ride persistent
 //!   connections across a k-ary fat-tree, and the report carries
 //!   p50/p99/p999 ARCT, goodput, session accounting, peak concurrency,
 //!   and last-hop queue occupancy;

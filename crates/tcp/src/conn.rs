@@ -13,11 +13,11 @@
 //!
 //! - `HotFlow` — the per-ACK working set (window, RTO estimator,
 //!   sequence cursors, recovery flags), stored inline in the row;
-//! - [`ColdConn`] — everything touched rarely or only at the ends of a
+//! - `ColdConn` — everything touched rarely or only at the ends of a
 //!   run (config, controller box, SACK scoreboard, train queue, stats),
 //!   boxed per flow.
 //!
-//! [`ConnCore`] borrows both halves of a row in place and carries the
+//! `ConnCore` borrows both halves of a row in place and carries the
 //! whole state machine;
 //! [`ConnRef`] is the read-only public view returned by
 //! [`TcpHost::connection`](crate::TcpHost::connection).
