@@ -220,6 +220,44 @@ mod tests {
         .is_err());
     }
 
+    /// CSV-ish fragments: numbers in several spellings, strings,
+    /// empty cells, separators and both line endings.
+    const FRAGMENTS: &[&str] = &[
+        "1", "1.0", "2.5", "-0", "1e300", "NaN", "inf", "TRIM", "80.5%", "", ",", ",", "\n", "\n",
+        "\r\n", " ", "\"", "é",
+    ];
+
+    fn csvish(picks: &[usize]) -> String {
+        picks.iter().map(|&i| FRAGMENTS[i]).collect()
+    }
+
+    /// Whether `d` holds the whole-table line-count mismatch.
+    fn reports_line_counts(d: &[Mismatch]) -> bool {
+        d.iter()
+            .any(|m| m.col.is_none() && m.expected.ends_with(" lines"))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn comparator_is_reflexive_total_and_counts_lines(
+            x in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..40),
+            y in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..40),
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let (x, y) = (csvish(&x), csvish(&y));
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            for t in [&x, &y, &raw] {
+                proptest::prop_assert!(compare_csv_text("t", t, t, Tolerance::GOLDEN).is_empty());
+            }
+            for (e, a) in [(&x, &y), (&y, &raw), (&raw, &x)] {
+                let d = compare_csv_text("t", e, a, Tolerance::GOLDEN);
+                let differ = e.lines().count() != a.lines().count();
+                proptest::prop_assert_eq!(reports_line_counts(&d), differ, "{:?} vs {:?}", e, a);
+            }
+        }
+    }
+
     #[test]
     fn mismatch_display_names_the_cell() {
         let m = Mismatch {

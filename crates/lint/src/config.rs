@@ -5,7 +5,9 @@
 //! `[rule-name]` section per rule with `enabled`, `apply-paths` and
 //! `allow-paths` keys. Arrays of strings may span lines. Anything the
 //! parser does not understand is a hard error — a silently ignored
-//! config key is how a lint rots.
+//! config key is how a lint rots. That includes values: `enabled`
+//! takes only the bare tokens `true` and `false`, so a quoted
+//! `"false"` or a typo cannot leave a rule on unnoticed.
 //!
 //! Path semantics: every entry is a workspace-relative prefix. A rule
 //! with `apply-paths` runs only on files under one of those prefixes; a
@@ -83,7 +85,18 @@ impl Config {
                 (Some(rule), k) => {
                     let rc = cfg.rules.entry(rule.clone()).or_default();
                     match k {
-                        "enabled" => rc.disabled = value.trim() == "false",
+                        "enabled" => {
+                            rc.disabled = match value.trim() {
+                                "true" => false,
+                                "false" => true,
+                                v => {
+                                    return Err(format!(
+                                        "Lint.toml:{}: enabled must be true or false, got {v}",
+                                        n + 1
+                                    ))
+                                }
+                            }
+                        }
                         "apply-paths" => rc.apply_paths = Some(parse_string_array(&value, n)?),
                         "allow-paths" => rc.allow_paths = parse_string_array(&value, n)?,
                         "source-allow-paths" => {
@@ -275,6 +288,93 @@ enabled = false
         ));
         assert!(c.seeds_taint("transitive-unordered-iteration", "crates/tcp/src/conn.rs"));
         assert!(Config::parse("[transitive-wall-clock]\nseverity = \"loud\"\n").is_err());
+    }
+
+    #[test]
+    fn enabled_takes_only_bare_booleans() {
+        let on = Config::parse("[no-float-eq]\nenabled = true\n").unwrap();
+        assert!(on.rule_applies("no-float-eq", "a.rs"));
+        let off = Config::parse("[no-float-eq]\nenabled = false  # off\n").unwrap();
+        assert!(!off.rule_applies("no-float-eq", "a.rs"));
+        for bad in ["\"false\"", "flase", "False", "0", ""] {
+            let err = Config::parse(&format!("[no-float-eq]\n\nenabled = {bad}\n")).unwrap_err();
+            assert!(
+                err.starts_with("Lint.toml:3: enabled must be"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    /// The workspace's own config, the seed for byte mutations.
+    const WORKSPACE_LINT_TOML: &str = include_str!("../../../Lint.toml");
+
+    /// TOML-subset fragments whose concatenations reach every branch
+    /// of the parser: sections, keys, arrays (open and unterminated),
+    /// quotes, comments, booleans and their near misses.
+    const FRAGMENTS: &[&str] = &[
+        "[no-wall-clock]",
+        "[",
+        "]",
+        "=",
+        " = ",
+        "\"",
+        "\"crates/tcp\"",
+        ",",
+        "#",
+        "# c\n",
+        "\n",
+        "exclude",
+        "enabled",
+        "apply-paths",
+        "allow-paths",
+        "source-allow-paths",
+        "severity",
+        "true",
+        "false",
+        "\"warn\"",
+        "flase",
+        "é",
+        " ",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn parse_never_panics_on_fragment_soup_or_bytes(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..48),
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let soup: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            let _ = Config::parse(&soup);
+            let _ = Config::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_mutated_workspace_config(
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>(), 0u8..3),
+                1..8,
+            )
+        ) {
+            let mut bytes = WORKSPACE_LINT_TOML.as_bytes().to_vec();
+            for &(pos, byte, op) in &edits {
+                let at = pos % (bytes.len() + 1);
+                match op {
+                    0 => bytes.insert(at, byte),
+                    1 if at < bytes.len() => bytes[at] = byte,
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let _ = Config::parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn workspace_config_parses() {
+        Config::parse(WORKSPACE_LINT_TOML).unwrap();
     }
 
     #[test]

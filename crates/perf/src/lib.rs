@@ -4,7 +4,8 @@
 //!
 //! - **Macro-benchmarks** — engine-scale workloads (1k/10k/100k-flow
 //!   incasts from [`trim_workload::scale`], persistent-connection
-//!   churn) timed end to end, reporting events/second;
+//!   churn) timed end to end, reporting events/second and the
+//!   process's peak resident set (informational, never gated);
 //! - **Micro-benchmarks** — tight loops over the individual hot paths
 //!   (event schedule/pop, queue enqueue/dequeue, RTT estimator update),
 //!   reporting operations/second.
@@ -67,6 +68,20 @@ pub struct MacroResult {
     pub wall_s: f64,
     /// `events / wall_s` — the headline engine-throughput metric.
     pub events_per_sec: f64,
+    /// The process's peak resident set after the run ([`peak_rss_mb`]).
+    /// Informational only: no gate reads it.
+    pub peak_rss_mb: Option<f64>,
+}
+
+/// This process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), in MiB; `None` where that file does not exist.
+/// The mark never falls, so in a run of several macros it covers every
+/// earlier one too.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// One timed micro-benchmark loop.
@@ -99,6 +114,7 @@ pub fn incast_macro(name: &str, cfg: &ScaleConfig) -> MacroResult {
         arena_high_water: r.arena_high_water,
         wall_s,
         events_per_sec: r.events as f64 / wall_s,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -168,6 +184,7 @@ pub fn churn_macro(conns: usize, responses: usize, response_bytes: u64) -> Macro
         arena_high_water: sim.arena_high_water(),
         wall_s,
         events_per_sec: sim.events_processed() as f64 / wall_s,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -227,13 +244,17 @@ pub fn micro_suite(ops: u64) -> Vec<MicroResult> {
     out
 }
 
-/// Renders a macro result as its committed JSON baseline.
+/// Renders a macro result as its committed JSON baseline. A missing
+/// peak-RSS reading is written as `null`.
 pub fn macro_json(r: &MacroResult) -> String {
+    let peak = r
+        .peak_rss_mb
+        .map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"));
     format!(
         "{{\n  \"bench\": \"{}\",\n  \"flows\": {},\n  \"bytes_per_flow\": {},\n  \
          \"events\": {},\n  \"completed\": {},\n  \"delivered\": {},\n  \"dropped\": {},\n  \
          \"timeouts\": {},\n  \"arena_high_water\": {},\n  \"wall_s\": {:.3},\n  \
-         \"events_per_sec\": {:.0}\n}}\n",
+         \"events_per_sec\": {:.0},\n  \"peak_rss_mb\": {peak}\n}}\n",
         r.name,
         r.flows,
         r.bytes_per_flow,
@@ -267,8 +288,18 @@ pub fn micro_json(rs: &[MicroResult]) -> String {
 
 /// Extracts `"events_per_sec": <number>` from a baseline JSON file.
 pub fn baseline_events_per_sec(json: &str) -> Option<f64> {
-    let key = "\"events_per_sec\":";
-    let start = json.find(key)? + key.len();
+    baseline_number(json, "events_per_sec")
+}
+
+/// Extracts `"peak_rss_mb": <number>` from a baseline JSON file; `None`
+/// for baselines written before the field existed, or holding `null`.
+pub fn baseline_peak_rss_mb(json: &str) -> Option<f64> {
+    baseline_number(json, "peak_rss_mb")
+}
+
+fn baseline_number(json: &str, field: &str) -> Option<f64> {
+    let key = format!("\"{field}\":");
+    let start = json.find(&key)? + key.len();
     let tail = json[start..].trim_start();
     let end = tail
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
@@ -307,6 +338,9 @@ mod tests {
         assert!(r.events > 0);
         assert!(r.events_per_sec > 0.0);
         assert!(r.arena_high_water > 0);
+        if let Some(mb) = r.peak_rss_mb {
+            assert!(mb > 0.0);
+        }
     }
 
     #[test]
@@ -341,9 +375,18 @@ mod tests {
             arena_high_water: 210,
             wall_s: 2.5,
             events_per_sec: 2_000_000.0,
+            peak_rss_mb: Some(88.25),
         };
         let json = macro_json(&r);
         assert_eq!(baseline_events_per_sec(&json), Some(2_000_000.0));
+        assert_eq!(baseline_peak_rss_mb(&json), Some(88.2));
+        let unread = macro_json(&MacroResult {
+            peak_rss_mb: None,
+            ..r.clone()
+        });
+        assert!(unread.contains("\"peak_rss_mb\": null"));
+        assert_eq!(baseline_peak_rss_mb(&unread), None);
+        assert_eq!(baseline_events_per_sec(&unread), Some(2_000_000.0));
         assert!(json.contains("\"bench\": \"incast_1k\""));
         assert!(json.contains("\"arena_high_water\": 210"));
     }
@@ -360,6 +403,22 @@ mod tests {
         );
         // Faster than baseline is always fine.
         assert_eq!(smoke_verdict(9_000_000.0, 1_000_000.0), SmokeVerdict::Ok);
+    }
+
+    #[test]
+    fn committed_baselines_without_peak_rss_still_read() {
+        // Written before `peak_rss_mb` existed; the smoke gates read
+        // them as they are.
+        for json in [
+            include_str!("../../../results/perf/incast_1k.json"),
+            include_str!("../../../results/perf/incast_10k.json"),
+            include_str!("../../../results/perf/incast_100k.json"),
+            include_str!("../../../results/perf/incast_1m.json"),
+            include_str!("../../../results/perf/churn.json"),
+        ] {
+            assert!(baseline_events_per_sec(json).is_some_and(|eps| eps > 0.0));
+            assert_eq!(baseline_peak_rss_mb(json), None);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! performance baselines.
 //!
 //! ```text
-//! trim-perf                  # micro suite + incast 1k/10k/100k/1m + churn
+//! trim-perf                  # micro suite + churn + incast 1k/10k/100k/1m
 //! trim-perf --smoke          # re-measure the 1k incast, compare vs the
 //!                            # committed baseline, exit 1 on >5x regression
 //! trim-perf --smoke-1m       # reduced-horizon million-flow incast vs the
@@ -13,7 +13,10 @@
 //!                            #  incast_1m.json for --smoke-1m)
 //! ```
 //!
-//! Full runs write one JSON per benchmark under `<out>/perf/`; `--smoke`
+//! Every macro prints its events/s and the process's peak resident set
+//! (`peak_rss_mb`, informational, never gated). Full runs write one JSON
+//! per benchmark under `<out>/perf/`, and run the macros smallest first
+//! so each peak reading is dominated by its own workload; `--smoke`
 //! writes nothing. Wall-clock numbers live only in these files, never in
 //! campaign CSVs, so the golden artifacts stay byte-identical.
 
@@ -23,8 +26,8 @@ use std::process::ExitCode;
 
 use trim_harness::ResultStore;
 use trim_perf::{
-    baseline_events_per_sec, churn_macro, incast_macro, macro_json, micro_json, micro_suite,
-    smoke_verdict, SmokeVerdict, INCAST_POINTS, REGRESSION_FACTOR,
+    baseline_events_per_sec, baseline_peak_rss_mb, churn_macro, incast_macro, macro_json,
+    micro_json, micro_suite, smoke_verdict, SmokeVerdict, INCAST_POINTS, REGRESSION_FACTOR,
 };
 use trim_workload::scale::ScaleConfig;
 
@@ -66,11 +69,24 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// A peak-RSS reading for display: MiB with one decimal, or `n/a`.
+fn mib(mb: Option<f64>) -> String {
+    mb.map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.1}"))
+}
+
 fn print_macro(r: &trim_perf::MacroResult) {
     println!(
         "perf {:<12} flows {:>7}  events {:>10}  wall {:>7.2}s  {:>12.0} events/s  \
-         completed {}  drops {}  rtos {}",
-        r.name, r.flows, r.events, r.wall_s, r.events_per_sec, r.completed, r.dropped, r.timeouts,
+         peak_rss_mb {:>7}  completed {}  drops {}  rtos {}",
+        r.name,
+        r.flows,
+        r.events,
+        r.wall_s,
+        r.events_per_sec,
+        mib(r.peak_rss_mb),
+        r.completed,
+        r.dropped,
+        r.timeouts,
     );
 }
 
@@ -96,6 +112,11 @@ fn smoke(name: &str, cfg: &ScaleConfig, baseline_path: &str) -> ExitCode {
         "smoke: {:.0} events/s vs baseline {base_eps:.0} ({:.2}x); \
          hard floor is baseline/{REGRESSION_FACTOR}",
         r.events_per_sec, ratio,
+    );
+    println!(
+        "smoke: peak_rss_mb {} vs baseline {} (informational)",
+        mib(r.peak_rss_mb),
+        mib(baseline_peak_rss_mb(&baseline)),
     );
     match smoke_verdict(r.events_per_sec, base_eps) {
         SmokeVerdict::Ok => {
@@ -134,6 +155,10 @@ fn full(opts: &Options) -> ExitCode {
     }
     write("perf/micro.json".into(), micro_json(&micro));
 
+    let churn = churn_macro(200, 25, 8_000);
+    print_macro(&churn);
+    write("perf/churn.json".into(), macro_json(&churn));
+
     for &(name, flows) in INCAST_POINTS {
         let r = incast_macro(name, &ScaleConfig::with_flows(flows));
         print_macro(&r);
@@ -143,10 +168,6 @@ fn full(opts: &Options) -> ExitCode {
     let r = incast_macro("incast_1m", &ScaleConfig::million_flow());
     print_macro(&r);
     write("perf/incast_1m.json".into(), macro_json(&r));
-
-    let churn = churn_macro(200, 25, 8_000);
-    print_macro(&churn);
-    write("perf/churn.json".into(), macro_json(&churn));
 
     if failures == 0 {
         ExitCode::SUCCESS

@@ -14,11 +14,27 @@
 //! - `HotFlow` — the per-ACK working set (window, RTO estimator,
 //!   sequence cursors, recovery flags), stored inline in the row;
 //! - `ColdConn` — everything touched rarely or only at the ends of a
-//!   run (config, controller box, SACK scoreboard, train queue, stats),
-//!   boxed per flow.
+//!   run (the four config scalars the state machine reads, controller
+//!   box, train queue, stats), boxed per flow.
 //!
-//! `ConnCore` borrows both halves of a row in place and carries the
-//! whole state machine;
+//! State only some flows use sits behind its own optional box: the SACK
+//! scoreboard exists only when `TcpConfig::sack` is set, and the TRIM
+//! probe record only while a probe phase is open. The train queue and
+//! the completed list reserve exactly one slot on first use, so a
+//! one-train flow carries one element of each, not the four a default
+//! first push allocates.
+//!
+//! | Part | Bytes | Allocated |
+//! |---|---:|---|
+//! | `HotFlow` (inline in the slab row) | 152 | with the slab |
+//! | `ColdConn` box | ≤ 176 (size test) | per flow |
+//! | `TrainProgress` / `TrainRecord` | 56 / 48 each | one slot on first use |
+//! | `SackBoard` box | 48 + set nodes | SACK flows only |
+//! | `ProbePending` box | 16 | while a TRIM probe phase is open |
+//!
+//! `ConnCore` borrows both halves of a row in place, together with the
+//! row's slab id (timer tokens embed it), and carries the whole state
+//! machine;
 //! [`ConnRef`] is the read-only public view returned by
 //! [`TcpHost::connection`](crate::TcpHost::connection).
 
@@ -107,36 +123,63 @@ struct ProbePending {
     timer: TimerId,
 }
 
+/// The SACK recovery state of a flow with `TcpConfig::sack` set. Flows
+/// without SACK never allocate one.
+#[derive(Debug, Default)]
+struct SackBoard {
+    /// Sequences above `high_ack` the receiver reported holding.
+    sacked: BTreeSet<u64>,
+    /// Holes already retransmitted in the current recovery episode.
+    rtx_this_recovery: BTreeSet<u64>,
+}
+
+impl SackBoard {
+    /// Claims the lowest sequence in `[from, to)` that is neither SACKed
+    /// nor already repaired in this recovery episode and that qualifies
+    /// as lost under RFC 6675's rule: at least `thresh` SACKed sequences
+    /// lie above it (otherwise the packet may simply still be in
+    /// flight). Returns `None` when the lowest such hole is not yet known
+    /// lost, or there is none.
+    fn claim_next_hole(&mut self, from: u64, to: u64, thresh: usize) -> Option<u64> {
+        let seq =
+            (from..to).find(|s| !self.sacked.contains(s) && !self.rtx_this_recovery.contains(s))?;
+        if self.sacked.range(seq + 1..).take(thresh).count() < thresh {
+            return None; // not yet known lost; wait for more reports
+        }
+        self.rtx_this_recovery.insert(seq);
+        Some(seq)
+    }
+}
+
 /// The rarely-touched half of a sending connection, boxed per flow in
-/// its slab row.
+/// its slab row. It keeps only the config scalars the state machine
+/// reads; the RTO bounds live in the hot row's estimator, and the
+/// window bounds in its `WindowState`.
 #[derive(Debug)]
 pub(crate) struct ColdConn {
     pub(crate) flow: FlowId,
     dst: NodeId,
-    pub(crate) cfg: TcpConfig,
+    mss_bytes: u32,
+    dupack_threshold: u32,
+    restart_cwnd: f64,
     cc: Box<dyn CcAlgo>,
-    /// Dense slab id within the owning host, used to build timer tokens.
-    /// Assigned by `FlowSlab::insert`.
-    pub(crate) local_idx: u64,
 
-    probe: Option<ProbePending>,
-
-    /// SACK scoreboard: sequences above `high_ack` the receiver reported
-    /// holding (only populated when `cfg.sack`).
-    sacked: BTreeSet<u64>,
-    /// Holes already retransmitted in the current recovery episode.
-    rtx_this_recovery: BTreeSet<u64>,
+    /// The open TRIM probe phase, if any (boxed: most flows never probe).
+    probe: Option<Box<ProbePending>>,
+    /// `Some` exactly when the connection negotiated SACK.
+    sack: Option<Box<SackBoard>>,
 
     trains: VecDeque<TrainProgress>,
-    next_train_id: u64,
+    /// `u32` packs with the scalars above; a flow would need 2^32
+    /// completed records in memory to wrap it.
+    next_train_id: u32,
     pub(crate) completed: Vec<TrainRecord>,
 
     stats: ConnStats,
 }
 
 /// Builds the split state for a new connection sending to `dst` with
-/// flow label `flow`. The cold half's `local_idx` is assigned when the
-/// pair is inserted into the host's flow slab.
+/// flow label `flow`.
 ///
 /// # Panics
 ///
@@ -165,12 +208,12 @@ pub(crate) fn new_conn(
     let cold = Box::new(ColdConn {
         flow,
         dst,
-        cfg,
+        mss_bytes: cfg.mss_bytes,
+        dupack_threshold: cfg.dupack_threshold,
+        restart_cwnd: cfg.restart_cwnd,
         cc,
-        local_idx: 0,
         probe: None,
-        sacked: BTreeSet::new(),
-        rtx_this_recovery: BTreeSet::new(),
+        sack: cfg.sack.then(Box::default),
         trains: VecDeque::new(),
         next_train_id: 0,
         completed: Vec::new(),
@@ -242,6 +285,8 @@ impl<'a> ConnRef<'a> {
 pub(crate) struct ConnCore<'a> {
     pub(crate) hot: &'a mut HotFlow,
     pub(crate) cold: &'a mut ColdConn,
+    /// The row's dense slab id within the owning host.
+    pub(crate) id: usize,
 }
 
 impl ConnCore<'_> {
@@ -295,7 +340,7 @@ impl ConnCore<'_> {
     }
 
     fn token(&self, kind: u64) -> u64 {
-        (self.cold.local_idx << KIND_BITS) | kind
+        ((self.id as u64) << KIND_BITS) | kind
     }
 
     /// Discards all application data that has not yet been transmitted:
@@ -326,11 +371,14 @@ impl ConnCore<'_> {
     /// Panics if `bytes` is zero.
     pub(crate) fn enqueue_train(&mut self, ctx: &mut Ctx<'_, Segment>, bytes: u64) {
         assert!(bytes > 0, "empty train");
-        let pkts = bytes.div_ceil(self.cold.cfg.mss_bytes as u64);
+        let pkts = bytes.div_ceil(self.cold.mss_bytes as u64);
         let start_seq = self.hot.total_pkts;
         self.hot.total_pkts += pkts;
+        if self.cold.trains.capacity() == 0 {
+            self.cold.trains.reserve_exact(1);
+        }
         self.cold.trains.push_back(TrainProgress {
-            id: self.cold.next_train_id,
+            id: self.cold.next_train_id as u64,
             bytes,
             start_seq,
             end_seq: self.hot.total_pkts,
@@ -350,7 +398,8 @@ impl ConnCore<'_> {
             }
             // With SACK, sacked packets have left the network: they do
             // not occupy the window (pipe accounting).
-            let flight = (self.hot.next_seq - self.hot.high_ack) - self.cold.sacked.len() as u64;
+            let sacked = self.cold.sack.as_ref().map_or(0, |b| b.sacked.len() as u64);
+            let flight = (self.hot.next_seq - self.hot.high_ack) - sacked;
             let wnd = self.hot.win.cwnd.floor().max(1.0) as u64;
             if flight >= wnd {
                 break;
@@ -367,10 +416,10 @@ impl ConnCore<'_> {
                     PreSendAction::Continue => {}
                     PreSendAction::StartProbe { probes, deadline } => {
                         let timer = ctx.set_timer(deadline, self.token(KIND_PROBE));
-                        self.cold.probe = Some(ProbePending {
+                        self.cold.probe = Some(Box::new(ProbePending {
                             remaining: probes,
                             timer,
-                        });
+                        }));
                         self.emit_probe(ctx, ProbeTransition::Start);
                         self.emit_cwnd(ctx);
                         continue; // window changed; re-evaluate
@@ -406,7 +455,7 @@ impl ConnCore<'_> {
             ctx.node(),
             self.cold.dst,
             self.cold.flow,
-            self.cold.cfg.mss_bytes,
+            self.cold.mss_bytes,
             seg,
         );
         ctx.send(pkt);
@@ -439,12 +488,11 @@ impl ConnCore<'_> {
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        let rto = self
-            .hot
-            .rto_est
+        let est = &self.hot.rto_est;
+        let rto = est
             .rto()
             .mul_f64(self.hot.backoff as f64)
-            .min(self.cold.cfg.max_rto);
+            .min(est.ceiling());
         self.hot.rto_timer = Some(ctx.set_timer(rto, self.token(KIND_RTO)));
     }
 
@@ -474,11 +522,11 @@ impl ConnCore<'_> {
         sack: &SackBlocks,
     ) {
         let now = ctx.now();
-        if self.cold.cfg.sack {
+        if let Some(board) = &mut self.cold.sack {
             for block in sack.iter().flatten() {
                 for seq in block.0..block.1 {
                     if seq >= self.hot.high_ack && seq < self.hot.next_seq {
-                        self.cold.sacked.insert(seq);
+                        board.sacked.insert(seq);
                     }
                 }
             }
@@ -505,16 +553,20 @@ impl ConnCore<'_> {
             self.hot.next_seq = self.hot.next_seq.max(self.hot.high_ack);
             self.hot.max_seq_sent = self.hot.max_seq_sent.max(self.hot.next_seq);
             self.hot.backoff = 1;
-            self.cold.sacked = self.cold.sacked.split_off(&self.hot.high_ack);
+            if let Some(board) = &mut self.cold.sack {
+                board.sacked = board.sacked.split_off(&self.hot.high_ack);
+            }
             if self.hot.in_recovery {
                 if ack_seq >= self.hot.recover {
                     // Full ACK: leave recovery, deflate to ssthresh.
                     self.hot.in_recovery = false;
                     self.hot.dup_acks = 0;
-                    self.cold.rtx_this_recovery.clear();
+                    if let Some(board) = &mut self.cold.sack {
+                        board.rtx_this_recovery.clear();
+                    }
                     self.hot.win.cwnd = self.hot.win.ssthresh;
                     self.hot.win.clamp_cwnd();
-                } else if self.cold.cfg.sack {
+                } else if self.cold.sack.is_some() {
                     // SACK recovery: repair the lowest unrepaired hole.
                     self.retransmit_next_hole(ctx);
                 } else {
@@ -547,7 +599,7 @@ impl ConnCore<'_> {
                 self.hot.dup_acks += 1;
                 self.cold.stats.dup_acks_received += 1;
                 if self.hot.in_recovery {
-                    if self.cold.cfg.sack {
+                    if self.cold.sack.is_some() {
                         // SACK recovery: the scoreboard says what is
                         // missing; repair it instead of inflating.
                         self.retransmit_next_hole(ctx);
@@ -556,7 +608,7 @@ impl ConnCore<'_> {
                         self.hot.win.cwnd += 1.0;
                         self.hot.win.clamp_cwnd();
                     }
-                } else if self.hot.dup_acks == self.cold.cfg.dupack_threshold {
+                } else if self.hot.dup_acks == self.cold.dupack_threshold {
                     self.enter_fast_recovery(ctx, now);
                 } else {
                     // Still feed the controller: TRIM needs every RTT
@@ -595,15 +647,19 @@ impl ConnCore<'_> {
     fn enter_fast_recovery(&mut self, ctx: &mut Ctx<'_, Segment>, now: SimTime) {
         self.hot.in_recovery = true;
         self.hot.recover = self.hot.next_seq;
-        self.cold.rtx_this_recovery.clear();
-        self.cold.rtx_this_recovery.insert(self.hot.high_ack);
+        // Only the SACK hole search reads the repaired set; NewReno
+        // recovery never touches it.
+        if let Some(board) = &mut self.cold.sack {
+            board.rtx_this_recovery.clear();
+            board.rtx_this_recovery.insert(self.hot.high_ack);
+        }
         self.cold.stats.fast_retransmits += 1;
         let flight = self.flight();
         self.cold
             .cc
             .on_fast_retransmit(&mut self.hot.win, flight, now);
         // Standard inflation by the duplicate threshold.
-        self.hot.win.cwnd += self.cold.cfg.dupack_threshold as f64;
+        self.hot.win.cwnd += self.cold.dupack_threshold as f64;
         self.hot.win.clamp_cwnd();
         self.transmit_rtx(ctx, self.hot.high_ack);
         self.rearm_rto(ctx);
@@ -616,7 +672,7 @@ impl ConnCore<'_> {
             ctx.node(),
             self.cold.dst,
             self.cold.flow,
-            self.cold.cfg.mss_bytes,
+            self.cold.mss_bytes,
             seg,
         );
         ctx.send(pkt);
@@ -625,25 +681,18 @@ impl ConnCore<'_> {
         self.cold.stats.rtx_sent += 1;
     }
 
-    /// Retransmits the lowest sequence in `[high_ack, recover)` that is
-    /// neither SACKed nor already repaired in this recovery episode and
-    /// that qualifies as lost under RFC 6675's rule: at least
-    /// `dupack_threshold` SACKed sequences lie above it (otherwise the
-    /// packet may simply still be in flight).
+    /// Retransmits the lowest hole in `[high_ack, recover)` known lost
+    /// per the SACK scoreboard (see [`SackBoard::claim_next_hole`]).
     fn retransmit_next_hole(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        let thresh = self.cold.cfg.dupack_threshold as usize;
-        let mut seq = self.hot.high_ack;
-        while seq < self.hot.recover {
-            if !self.cold.sacked.contains(&seq) && !self.cold.rtx_this_recovery.contains(&seq) {
-                let reported_above = self.cold.sacked.range(seq + 1..).take(thresh).count();
-                if reported_above < thresh {
-                    return; // not yet known lost; wait for more reports
-                }
-                self.cold.rtx_this_recovery.insert(seq);
-                self.transmit_rtx(ctx, seq);
-                return;
-            }
-            seq += 1;
+        let thresh = self.cold.dupack_threshold as usize;
+        let (from, to) = (self.hot.high_ack, self.hot.recover);
+        if let Some(seq) = self
+            .cold
+            .sack
+            .as_mut()
+            .and_then(|b| b.claim_next_hole(from, to, thresh))
+        {
+            self.transmit_rtx(ctx, seq);
         }
     }
 
@@ -658,7 +707,7 @@ impl ConnCore<'_> {
         self.cold.stats.timeouts += 1;
         let flight = self.flight();
         self.cold.cc.on_timeout(&mut self.hot.win, flight, now);
-        self.hot.win.cwnd = self.cold.cfg.restart_cwnd;
+        self.hot.win.cwnd = self.cold.restart_cwnd;
         self.hot.win.suspended = false;
         self.hot.win.clamp_cwnd();
         if let Some(p) = self.cold.probe.take() {
@@ -667,8 +716,10 @@ impl ConnCore<'_> {
         }
         self.hot.in_recovery = false;
         self.hot.dup_acks = 0;
-        self.cold.rtx_this_recovery.clear();
-        self.cold.sacked.clear();
+        if let Some(board) = &mut self.cold.sack {
+            board.rtx_this_recovery.clear();
+            board.sacked.clear();
+        }
         self.hot.backoff = (self.hot.backoff * 2).min(64);
         // Go-back-N: resume from the last cumulative ACK.
         self.hot.next_seq = self.hot.high_ack;
@@ -695,6 +746,9 @@ impl ConnCore<'_> {
                 break;
             }
             let t = self.cold.trains.pop_front().expect("front exists"); // trim-lint: allow(no-panic-in-library, reason = "front() returned Some in the loop condition")
+            if self.cold.completed.capacity() == 0 {
+                self.cold.completed.reserve_exact(1);
+            }
             self.cold.completed.push(TrainRecord {
                 id: t.id,
                 bytes: t.bytes,
@@ -704,5 +758,166 @@ impl ConnCore<'_> {
                 completed_at: now,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::CcKind;
+    use crate::host::TcpHost;
+    use crate::receiver::Receiver;
+    use std::mem::size_of;
+
+    const MSS: u32 = 1460;
+
+    #[test]
+    fn cold_half_and_receiver_stay_within_budget() {
+        // Grows with any new per-flow field. State that only some flows
+        // use belongs behind its own optional box (like `sack` and
+        // `probe`), not inline here.
+        assert!(size_of::<ColdConn>() <= 176, "{}", size_of::<ColdConn>());
+        // Grows with any new per-receiver field; an optional instrument
+        // belongs behind a box (like `meter`).
+        assert!(size_of::<Receiver>() <= 144, "{}", size_of::<Receiver>());
+    }
+
+    /// `n` single-segment Reno flows from two sender hosts into one
+    /// front-end over a shared switch: the packed incast of the scale
+    /// workloads, small enough for a unit test. Runs to completion and
+    /// returns the simulator and the two sender nodes.
+    fn packed_incast(n: usize) -> (Simulator<Segment>, [NodeId; 2]) {
+        let cfg = TcpConfig::default();
+        let mut sim: Simulator<Segment> = Simulator::new();
+        let sw = sim.add_switch();
+        let mut fe_host = TcpHost::new();
+        for i in 0..n {
+            fe_host.add_receiver(FlowId(i as u64), cfg);
+        }
+        let fe = sim.add_host(Box::new(fe_host));
+        let link = |sim: &mut Simulator<Segment>, node| {
+            sim.connect(
+                node,
+                sw,
+                Bandwidth::gbps(1),
+                Dur::from_micros(50),
+                QueueConfig::drop_tail(100),
+            );
+        };
+        link(&mut sim, fe);
+        let senders = [0, 1].map(|h| {
+            let mut host = TcpHost::with_sender_capacity(n / 2);
+            for i in (h..n).step_by(2) {
+                let idx = host.add_sender(FlowId(i as u64), fe, cfg, &CcKind::Reno);
+                host.schedule_train(idx, SimTime::from_secs_f64(0.001), MSS as u64);
+            }
+            let node = sim.add_host(Box::new(host));
+            link(&mut sim, node);
+            node
+        });
+        sim.run();
+        (sim, senders)
+    }
+
+    #[test]
+    fn packed_incast_keeps_queues_exact_and_allocates_no_sack_board() {
+        let (sim, senders) = packed_incast(2_000);
+        let (mut flows, mut timeouts) = (0, 0);
+        for node in senders {
+            for c in sim.host::<TcpHost>(node).connections() {
+                flows += 1;
+                timeouts += c.stats().timeouts;
+                assert_eq!(c.completed_trains().len(), 1, "{:?}", c.stats());
+                assert!(c.cold.trains.is_empty());
+                assert!(
+                    c.cold.trains.capacity() <= 1,
+                    "{}",
+                    c.cold.trains.capacity()
+                );
+                assert!(c.cold.completed.capacity() <= 1);
+                assert!(c.cold.sack.is_none());
+                assert!(c.cold.probe.is_none());
+            }
+        }
+        assert_eq!(flows, 2_000);
+        // The incast overflows the bottleneck: recovery ran on these
+        // flows, and still allocated nothing.
+        assert!(timeouts > 0);
+    }
+
+    /// One sender linked straight to one receiver, with a window large
+    /// enough to send the whole train in one burst (channel arrival
+    /// indices then equal sequence numbers) and the given data-packet
+    /// losses. Runs for 10 s and returns the sender's host and node.
+    fn lossy_burst(cfg: TcpConfig, pkts: u64, drops: &[u64]) -> (Simulator<Segment>, NodeId) {
+        let cfg = TcpConfig {
+            init_cwnd: 128.0,
+            ..cfg.with_min_rto(Dur::from_millis(20))
+        };
+        let mut sim: Simulator<Segment> = Simulator::new();
+        let mut rx = TcpHost::new();
+        rx.add_receiver(FlowId(0), cfg);
+        let rx_node = sim.add_host(Box::new(rx));
+        let mut tx = TcpHost::new();
+        let idx = tx.add_sender(FlowId(0), rx_node, cfg, &CcKind::Reno);
+        tx.schedule_train(idx, SimTime::from_secs_f64(0.001), pkts * MSS as u64);
+        let tx_node = sim.add_host(Box::new(tx));
+        let (data_ch, _) = sim.connect(
+            tx_node,
+            rx_node,
+            Bandwidth::gbps(1),
+            Dur::from_micros(50),
+            QueueConfig::drop_tail(1000),
+        );
+        sim.inject_channel_drops(data_ch, drops.iter().copied());
+        sim.run_until(SimTime::from_secs(10));
+        (sim, tx_node)
+    }
+
+    const LOSSES: [u64; 5] = [6, 11, 16, 21, 26];
+
+    /// Both recovery modes resend exactly the five lost packets of
+    /// [`LOSSES`] in one fast-recovery episode.
+    const REPAIRED: ConnStats = ConnStats {
+        pkts_sent: 65,
+        rtx_sent: 5,
+        probes_sent: 0,
+        timeouts: 0,
+        fast_retransmits: 1,
+        acks_received: 60,
+        dup_acks_received: 49,
+    };
+
+    #[test]
+    fn sack_flow_allocates_the_board_and_repairs_every_hole() {
+        let (sim, tx) = lossy_burst(TcpConfig::default().with_sack(), 60, &LOSSES);
+        let conn = sim.host::<TcpHost>(tx).connection(0);
+        assert!(conn.is_idle());
+        // The counts and completion time the unboxed scoreboard
+        // produced: five holes, each resent once, in one recovery
+        // episode.
+        assert_eq!(conn.stats(), REPAIRED);
+        assert_eq!(
+            conn.completed_trains()[0].completed_at,
+            SimTime::from_nanos(1_801_120)
+        );
+        // Recovery ended on a full ACK: the board is still there, and
+        // empty.
+        let board = conn.cold.sack.as_deref().expect("SACK flow has a board");
+        assert!(board.sacked.is_empty() && board.rtx_this_recovery.is_empty());
+    }
+
+    #[test]
+    fn newreno_recovery_runs_without_a_board() {
+        let (sim, tx) = lossy_burst(TcpConfig::default(), 60, &LOSSES);
+        let conn = sim.host::<TcpHost>(tx).connection(0);
+        assert!(conn.is_idle());
+        // NewReno needs one RTT per hole, so it finishes later than SACK.
+        assert_eq!(conn.stats(), REPAIRED);
+        assert_eq!(
+            conn.completed_trains()[0].completed_at,
+            SimTime::from_nanos(2_202_400)
+        );
+        assert!(conn.cold.sack.is_none());
     }
 }

@@ -44,7 +44,8 @@ pub struct Receiver {
     rcv_next: u64,
     out_of_order: BTreeSet<u64>,
     stats: ReceiverStats,
-    meter: Option<ThroughputMeter>,
+    /// Boxed: only a few experiments meter throughput.
+    meter: Option<Box<ThroughputMeter>>,
     mss_bytes: u32,
     sack_enabled: bool,
     delayed_ack: Option<NsDur>,
@@ -127,13 +128,13 @@ impl Receiver {
     /// Starts metering delivered bytes into bins of `bin` width.
     pub fn enable_throughput_meter(&mut self, bin: Dur) {
         if self.meter.is_none() {
-            self.meter = Some(ThroughputMeter::new(bin));
+            self.meter = Some(Box::new(ThroughputMeter::new(bin)));
         }
     }
 
     /// The throughput meter, if enabled.
     pub fn meter(&self) -> Option<&ThroughputMeter> {
-        self.meter.as_ref()
+        self.meter.as_deref()
     }
 
     /// Handles an arriving data packet and sends the cumulative ACK.

@@ -59,6 +59,11 @@ impl RtoEstimator {
         }
     }
 
+    /// The ceiling every RTO is clamped to, backed-off ones included.
+    pub fn ceiling(&self) -> Dur {
+        self.max
+    }
+
     /// The smoothed RTT, if any sample has arrived.
     pub fn srtt(&self) -> Option<Dur> {
         self.srtt.map(|s| Dur::from_nanos(s.round() as u64))

@@ -5,8 +5,17 @@
 //! working set (window, RTO estimator, sequence cursors, recovery
 //! flags) — next to one `Box<ColdConn>` for everything touched rarely.
 //! An event borrows both halves of its row in place as a
-//! [`ConnCore`], so the state machine runs on the stored record with no
-//! copy in or out, and one ACK touches one contiguous row.
+//! [`ConnCore`], which also carries the row's id for timer tokens, so
+//! the state machine runs on the stored record with no copy in or out,
+//! and one ACK touches one contiguous row.
+//!
+//! Per-flow bytes set the scale limit, so both halves are budgeted by
+//! size tests: a row is 168 B (the 152 B `HotFlow`, the cold pointer and
+//! the generation) and the cold box 176 B. With a one-slot train queue
+//! (56 B) and completed list (48 B), a single-train Reno flow costs
+//! 448 B before allocator rounding, down from 904 B when the box held a
+//! full `TcpConfig` copy, an inline SACK scoreboard and four-slot
+//! queues. DESIGN.md ("The flow slab") has the table.
 //!
 //! Slots are recycled through a freelist with generation counters and
 //! allocated/freed accounting, so teardown at scale reuses ids instead
@@ -133,21 +142,18 @@ impl FlowSlab {
         }
     }
 
-    /// Inserts a connection's split state; returns its dense flow id and
-    /// stamps it into the cold half's `local_idx` (timer tokens embed
-    /// it). Vacated ids are reused before the slab grows.
-    pub(crate) fn insert(&mut self, hot: HotFlow, mut cold: Box<ColdConn>) -> usize {
+    /// Inserts a connection's split state; returns its dense flow id.
+    /// Vacated ids are reused before the slab grows.
+    pub(crate) fn insert(&mut self, hot: HotFlow, cold: Box<ColdConn>) -> usize {
         self.allocated += 1;
         self.high_water = self.high_water.max(self.allocated - self.freed);
         if let Some(id) = self.freelist.pop() {
-            cold.local_idx = id as u64;
             let row = &mut self.rows[id];
             row.hot = hot;
             row.cold = Some(cold);
             id
         } else {
             let id = self.rows.len();
-            cold.local_idx = id as u64;
             self.rows.push(Row {
                 hot,
                 cold: Some(cold),
@@ -234,7 +240,7 @@ impl FlowSlab {
     }
 
     /// Mutable state-machine view of live flow `id`, borrowing both
-    /// halves of its row in place.
+    /// halves of its row in place; timer tokens embed `id`.
     ///
     /// # Panics
     ///
@@ -244,6 +250,7 @@ impl FlowSlab {
         ConnCore {
             hot: &mut row.hot,
             cold: row.cold.as_deref_mut().expect("vacant flow slot"), // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+            id,
         }
     }
 
@@ -287,6 +294,14 @@ mod tests {
     }
 
     #[test]
+    fn row_stays_within_budget() {
+        // Grows with any new field in `HotFlow` (the per-event working
+        // set) or in `Row`. Keep rarely-read state in the cold box.
+        let row = std::mem::size_of::<Row>();
+        assert!(row <= 168, "{row}");
+    }
+
+    #[test]
     fn insert_assigns_dense_ids_and_counts() {
         let mut s = FlowSlab::with_capacity(4);
         for f in 0..3u64 {
@@ -297,7 +312,6 @@ mod tests {
         assert_eq!(s.rows.len(), 3);
         assert!(s.contains(2) && !s.contains(3));
         assert_eq!(s.get(1).flow(), FlowId(1));
-        assert_eq!(s.get(1).cold.local_idx, 1);
         assert_eq!(
             s.audit(),
             SlabAudit {
@@ -336,12 +350,12 @@ mod tests {
         s.leak_check().unwrap();
 
         // The vacated id is reused before the slab grows, and the new
-        // occupant's local_idx is restamped.
+        // occupant's timer tokens carry it.
         let cfg = TcpConfig::default();
         let (hot, cold) = entry(9, cfg);
         assert_eq!(s.insert(hot, cold), 0);
         assert_eq!(s.get(0).flow(), FlowId(9));
-        assert_eq!(s.get(0).cold.local_idx, 0);
+        assert_eq!(s.get_mut(0).id, 0);
         assert!(s.is_current(0, 1) && !s.is_current(0, 0));
         assert_eq!(s.rows.len(), 2, "reuse must not grow the slab");
         assert_eq!(
